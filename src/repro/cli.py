@@ -24,8 +24,8 @@ applications to PIM architectures"; the CLI is that click:
   technology registry: inspect profiles, export/load the JSON format,
   synthesize one model under every technology. ``--tech NAME`` on
   ``synthesize``/``sweep``/``peak``/``serve`` selects the device;
-- ``python -m repro backends`` — the array-backend registry that
-  executes the tensorized task-grid walk. ``--backend NAME`` on
+- ``python -m repro backends`` — the two array backends that
+  execute the tensorized task-grid walk. ``--backend NAME`` on
   ``synthesize``/``sweep`` selects one (execution-only: never changes
   the solution or any content key).
 """
@@ -545,41 +545,34 @@ def cmd_backends(args) -> int:
     from repro.core.backend import backend_status, get_backend
 
     rows = []
-    for name, ok, detail in backend_status():
+    for name, _, detail in backend_status():
         default = "*" if name == SynthesisConfig().backend else ""
-        rows.append((
-            name, "yes" if ok else "no", default, detail,
-        ))
+        rows.append((name, default, detail))
     print(format_table(
-        ["backend", "available", "default", "description / reason"],
-        rows, title="registered array backends (execution-only)",
+        ["backend", "default", "description"],
+        rows, title="array backends (execution-only)",
     ))
     if getattr(args, "check", None):
-        backend = get_backend(args.check)  # raises if not usable
+        backend = get_backend(args.check)  # raises on unknown names
         print(f"backend {args.check!r} is available")
         _backend_probe(backend)
     return 0
 
 
 def _backend_probe(backend) -> None:
-    """Score a real population on ``backend`` and hold it to its
-    declared contract against the pure-python oracle: ``==`` for exact
-    engines, the documented relative tolerance for GPU ones. Raises
+    """Score a real population on ``backend`` and hold it to ``==``
+    against the pure-python oracle, field for field. Raises
     PimsynError on divergence — `repro backends --check NAME` is the
-    one-command way to validate a box's accelerator stack."""
+    one-command way to validate a backend on this interpreter."""
     import random as _random
 
-    from repro.core.backend import get_backend, numpy_available
+    import numpy as np
+
     from repro.core.batch_eval import BatchPerformanceEvaluator
     from repro.core.dataflow import make_spec
     from repro.core.macro_partition import MacroPartitionExplorer
     from repro.hardware.power import PowerBudget
     from repro.nn import lenet5
-
-    if not numpy_available():
-        print("conformance probe skipped: numpy unavailable")
-        return
-    import numpy as np
 
     model = lenet5()
     config = SynthesisConfig.fast(total_power=2.0)
@@ -604,12 +597,11 @@ def _backend_probe(backend) -> None:
     oracle = BatchPerformanceEvaluator(
         spec, budget, 1, backend="python",
     ).evaluate_population(genes)
-    exact_fields = ("feasible", "bottleneck_layer", "num_macros")
-    float_fields = (
-        "fitness", "period", "latency", "throughput", "tops",
-        "power", "tops_per_watt", "energy_per_image", "edp",
-    )
-    for field in exact_fields:
+    for field in (
+        "feasible", "bottleneck_layer", "num_macros", "fitness",
+        "period", "latency", "throughput", "tops", "power",
+        "tops_per_watt", "energy_per_image", "edp",
+    ):
         if not np.array_equal(
             np.asarray(getattr(candidate, field)),
             np.asarray(getattr(oracle, field)),
@@ -619,28 +611,9 @@ def _backend_probe(backend) -> None:
                 f"conformance probe: {field} diverges from the "
                 f"python oracle"
             )
-    for field in float_fields:
-        got = np.asarray(getattr(candidate, field), dtype=np.float64)
-        want = np.asarray(getattr(oracle, field), dtype=np.float64)
-        if backend.exact:
-            ok = bool(np.array_equal(got, want))
-        else:
-            denom = np.maximum(np.abs(want), 1.0)
-            ok = bool(np.all(
-                np.abs(got - want) <= backend.float_tolerance * denom
-            ))
-        if not ok:
-            raise PimsynError(
-                f"backend {backend.name!r} failed the batch-eval "
-                f"conformance probe: {field} outside the "
-                f"{'exact' if backend.exact else 'tolerance'} contract"
-            )
-    contract = "bit-identical" if backend.exact else (
-        f"within {backend.float_tolerance:g} relative"
-    )
     print(
         f"conformance probe passed: {len(genes)}-gene population "
-        f"scored {contract} vs the python oracle"
+        f"scored bit-identical vs the python oracle"
     )
 
 
@@ -747,18 +720,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "timelines, NoC link contention) and "
                                "cross-validate against the analytical "
                                "model")
-    from repro.sim.cycle import engine_status
-
-    engine_help = "; ".join(
-        f"{name}: {'available' if ok else 'UNAVAILABLE'}"
-        for name, ok, _ in engine_status()
-    )
     simulate.add_argument("--engine", default=None,
                           help="cycle event-wheel engine (requires "
-                               "--cycle; default auto = fastest "
-                               "available; all engines are ==-exact, "
-                               "the choice only moves wall time). "
-                               "Registered: " + engine_help)
+                               "--cycle): auto (default, = numpy), "
+                               "numpy or python; both engines are "
+                               "==-exact, the choice only moves wall "
+                               "time")
     simulate.add_argument("--fault-rate", type=float, default=0.0,
                           help="per-attempt fault probability for "
                                "crossbar reads and NoC traffic "
@@ -925,11 +892,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the comparison JSON here")
 
     backends = sub.add_parser(
-        "backends", help="list the registered array backends"
+        "backends", help="list the array backends"
     )
     backends.add_argument("--check", metavar="NAME",
-                          help="exit non-zero unless NAME is usable "
-                               "on this interpreter")
+                          help="score a probe population on NAME and "
+                               "exit non-zero unless it matches the "
+                               "python oracle exactly")
     return parser
 
 

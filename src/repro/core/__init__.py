@@ -19,7 +19,6 @@ from repro.core.backend import (
     available_backends,
     backend_status,
     get_backend,
-    register_backend,
 )
 from repro.core.batch_eval import (
     BatchEvaluation,
@@ -53,7 +52,7 @@ from repro.core.persistence import (
     save_solution,
     solution_from_payload,
 )
-from repro.core.grid_eval import GridBoundEvaluator, grid_eval_supported
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.solution import SynthesisSolution
 from repro.core.synthesizer import Pimsyn
 
@@ -63,9 +62,7 @@ __all__ = [
     "available_backends",
     "backend_status",
     "get_backend",
-    "register_backend",
     "GridBoundEvaluator",
-    "grid_eval_supported",
     "BatchEvaluation",
     "BatchPerformanceEvaluator",
     "SynthesisConfig",

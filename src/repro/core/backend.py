@@ -1,18 +1,11 @@
-"""Pluggable array-execution backends for the tensorized DSE paths.
+"""The two array-execution backends of the tensorized DSE paths.
 
-PR 3 vectorized the inner EA population scoring with numpy; the grid
-evaluator of :mod:`repro.core.grid_eval` applies the same
-flatten-to-tensor move to the *outer* (design point x WtDup x ResDAC)
-task walk; and :mod:`repro.core.batch_eval` routes the hottest kernel
-in the system — the ``(population, layers)`` EA scoring — through the
-same seam. All of these paths are pure array arithmetic, so the
-concrete array engine is an execution detail — exactly like the device
-technology is a content detail — and this module gives it the same
-shape as :mod:`repro.hardware.tech`: a named, validated registry of
-:class:`ArrayBackend` objects, selected by ``SynthesisConfig.backend``
-(``--backend`` on the CLI).
-
-Five backends ship built in:
+The grid evaluator of :mod:`repro.core.grid_eval` flattens the outer
+(design point x WtDup x ResDAC) task walk into ``(tasks, layers)``
+arrays, and :mod:`repro.core.batch_eval` does the same for the hottest
+kernel in the system — the ``(population, layers)`` EA scoring. Both
+hand their arrays to an :class:`ArrayBackend`, selected by name through
+``SynthesisConfig.backend`` (``--backend`` on the CLI):
 
 ``numpy``
     The default: vectorized ``(tasks, layers)`` / ``(population,
@@ -20,54 +13,18 @@ Five backends ship built in:
     so every value is bit-identical to the scalar oracle.
 ``python``
     Scalar loops over the same arrays, in exactly the scalar oracle's
-    operation order — the conformance reference every other backend
-    (including third-party registrations) is compared against. When
-    numpy itself is absent the executor skips grid evaluation entirely
-    and walks tasks one at a time, as before PR 6.
-``numba``
-    The ``python`` loop kernels (:func:`_bound_loops` and the fused
-    :func:`_score_loops` population kernel) JIT-compiled with
-    ``numba.njit`` (``fastmath`` off, so IEEE-754 evaluation order —
-    and therefore bit-identity — is preserved). Registered
-    unconditionally but only *available* when numba is importable;
-    selecting it without numba installed raises a
-    :class:`~repro.errors.ConfigurationError` naming the missing
-    dependency.
-``cupy``
-    The vectorized engine running on CUDA through cupy's numpy-drop-in
-    API. Registered unconditionally (like a device technology);
-    *available* only when cupy imports and a CUDA device is present.
-``torch``
-    The vectorized engine on torch tensors — CUDA when
-    ``torch.cuda.is_available()``, CPU tensors otherwise. Registered
-    unconditionally; available whenever torch imports.
+    operation order — the conformance reference ``numpy`` is held to.
 
 Exactness contract
 ------------------
-Exact backends (``numpy``, ``python``, ``numba`` — ``exact = True``)
-must return bit-identical results for the op-level primitives
-(``ordered_sum``, ``ordered_max``, ``prune_mask``, and the integer
-``decode_population`` / ``mesh_hops``) and the fused kernels
-(:meth:`ArrayBackend.compute_bounds`,
-:meth:`ArrayBackend.score_population`) — *not* merely close: the DSE
-pruning decisions and EA tournaments ride on exact float comparisons,
-and the whole point of the tensorized walk is that it cannot change a
-solution.
-
-GPU tolerance contract
-----------------------
-The GPU backends (``cupy``, ``torch`` — ``exact = False``) keep the
-integer/geometry primitives exact (``==``: decode, hops, bottleneck
-indices, macro counts, feasibility flags) but may diverge from the
-IEEE-754 reference in the last ulps of float kernels (different FMA
-contraction and reduction hardware). Their ``float_tolerance``
-attribute (1e-9) is the maximum *relative* error the conformance tier
-accepts for float outputs. End-to-end solution identity is still
-guaranteed: ``MacroPartitionExplorer.explore`` re-scores the winning
-gene through the scalar oracle on the host, so the reported solution
-metrics are bit-identical regardless of which engine scored the
-population. ``tests/test_backend_conformance.py`` pins both contracts
-for every registered backend.
+Both backends return bit-identical results (``==``, not merely close)
+for the op-level primitives (``ordered_sum``, ``ordered_max``,
+``prune_mask``, and the integer ``decode_population`` / ``mesh_hops``)
+and the fused kernels (:meth:`ArrayBackend.compute_bounds`,
+:meth:`ArrayBackend.score_population`): the DSE pruning decisions and
+EA tournaments ride on exact float comparisons, and the whole point of
+the tensorized walk is that it cannot change a solution.
+``tests/test_backend_conformance.py`` pins the contract.
 
 Content-key contract
 --------------------
@@ -81,29 +38,13 @@ entries are shared across backends.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-
-try:  # numpy is optional at this layer (the ``python`` backend runs
-    import numpy as _np  # without it); the image bakes it in.
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-
-def numpy_module():
-    """The numpy module, or None — the single gate every tensorized
-    path (batch_eval, grid_eval, the backends) consults."""
-    return _np
-
-
-def numpy_available() -> bool:
-    """True when the vectorized engines can run on this interpreter."""
-    return _np is not None
-
 
 #: Gene encoding base — keep in sync with repro.core.macro_partition.
 _ENCODING_BASE = 1000
@@ -165,7 +106,7 @@ class PopulationContext:
     per-layer arrays are host numpy (float64/int64) regardless of the
     backend that consumes them, exactly like :class:`TaskGrid`. The
     inter-layer edge structure arrives as two CSR walks so the loop
-    kernels (and their numba JIT) never touch Python containers:
+    kernel never touches Python containers:
 
     * ``comm_offsets`` / ``comm_consumer`` — producer-major, in
       ``spec.model.interlayer_edges()`` order: the §IV-B activation
@@ -246,12 +187,10 @@ def _bound_loops(
     edram_bandwidth, per_macro_fixed, adc_sample_rate, alu_power,
     alu_frequency, min_macros, macro_sharing, out,
 ):
-    """Scalar-loop bound kernel (the ``python`` and ``numba`` engine).
+    """Scalar-loop bound kernel (the ``python`` engine).
 
     Replicates :func:`repro.core.evaluator.throughput_upper_bound` one
-    task at a time, in the exact operation order of the scalar code —
-    this function is deliberately numba-``njit``-compatible (flat loops,
-    no Python containers), so the JIT backend compiles it unchanged.
+    task at a time, in the exact operation order of the scalar code.
     """
     num_tasks, num_layers = total_blocks.shape
     for t in range(num_tasks):
@@ -337,32 +276,30 @@ def _score_loops(
     throughput_out, tops_out, power_out, tops_per_watt_out,
     energy_out, edp_out, bottleneck_out, num_macros_out,
 ):
-    """Scalar-loop population kernel (the ``python``/``numba`` engine).
+    """Scalar-loop population kernel (the ``python`` engine).
 
     Replicates the vectorized batch-eval math one gene at a time, in
     the exact per-lane operation order of the numpy engine (which in
     turn mirrors the scalar oracle), so outputs are bit-identical for
     every lane the oracle evaluates. Validation is the caller's job —
-    this kernel assumes well-formed genes. Deliberately
-    numba-``njit``-compatible: flat loops, preallocated scratch, no
-    Python containers.
+    this kernel assumes well-formed genes.
     """
     pop, n = genes.shape
-    owners = _np.empty(n, _np.int64)
-    counts = _np.empty(n, _np.int64)
-    sbo = _np.empty(n, _np.int64)  # group start, by owner layer
-    group_start = _np.empty(n, _np.int64)
-    group_len = _np.empty(n, _np.int64)
-    partner = _np.empty(n, _np.int64)
-    adc_alloc = _np.empty(n, _np.float64)
-    alu_alloc = _np.empty(n, _np.float64)
-    adc_delay = _np.empty(n, _np.float64)
-    alu_delay = _np.empty(n, _np.float64)
-    load_arr = _np.empty(n, _np.float64)
-    store_arr = _np.empty(n, _np.float64)
-    comm = _np.empty(n, _np.float64)
-    stage = _np.empty(n, _np.float64)
-    starts = _np.empty(n, _np.float64)
+    owners = np.empty(n, np.int64)
+    counts = np.empty(n, np.int64)
+    sbo = np.empty(n, np.int64)  # group start, by owner layer
+    group_start = np.empty(n, np.int64)
+    group_len = np.empty(n, np.int64)
+    partner = np.empty(n, np.int64)
+    adc_alloc = np.empty(n, np.float64)
+    alu_alloc = np.empty(n, np.float64)
+    adc_delay = np.empty(n, np.float64)
+    alu_delay = np.empty(n, np.float64)
+    load_arr = np.empty(n, np.float64)
+    store_arr = np.empty(n, np.float64)
+    comm = np.empty(n, np.float64)
+    stage = np.empty(n, np.float64)
+    starts = np.empty(n, np.float64)
     ow = overlap_window
     if ow < 1:
         ow = 1
@@ -643,38 +580,22 @@ def _score_loops(
             num_macros_out[p] = 0
 
 
+
+
 # ----------------------------------------------------------------------
-# Backend interface + built-in engines
+# Backend interface + the two engines
 # ----------------------------------------------------------------------
 class ArrayBackend:
     """One array-execution engine for the tensorized DSE paths.
 
     Subclasses implement the op-level primitives and the fused kernels
     (task-grid bounds, population scoring); the registry hands out one
-    shared instance per name. ``available()`` gates optional
-    dependencies — an unavailable backend stays listed (with its
-    reason) but cannot be selected.
+    shared instance per name.
     """
 
     #: Registry key; subclasses must override with a non-empty name.
     name: str = ""
     description: str = ""
-    #: Exact backends are held to bit-identity (``==``) on every
-    #: primitive and fused kernel. Non-exact (GPU) backends keep
-    #: integer/geometry outputs exact but may diverge on float kernels
-    #: by up to ``float_tolerance`` relative error.
-    exact: bool = True
-    float_tolerance: float = 0.0
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can execute on this interpreter."""
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        """Human-readable reason when :meth:`available` is False."""
-        return None
 
     # -- op-level primitives (conformance-tested per backend) ----------
     def ordered_sum(self, terms) -> "object":
@@ -706,25 +627,23 @@ class ArrayBackend:
     ]:
         """Decode a ``(P, L)`` gene array into macro-group arrays.
 
-        Returns host arrays ``(owners, is_owner, total_macros,
-        group_start, group_len)`` — integer-exact on every backend
-        (``==``, GPU included). Validation is the caller's concern;
-        this primitive assumes well-formed genes.
+        Returns ``(owners, is_owner, total_macros, group_start,
+        group_len)``. Validation is the caller's concern; this
+        primitive assumes well-formed genes.
         """
         raise NotImplementedError
 
     def mesh_hops(self, a, b, cols) -> "object":
         """Elementwise MeshNoC hop count: Manhattan distance between
         macro ids ``a`` and ``b`` on a row-major mesh with ``cols``
-        columns. Integer-exact on every backend."""
+        columns."""
         raise NotImplementedError
 
     def compute_bounds(self, grid: TaskGrid) -> "object":
         """Per-task throughput upper bounds for a whole task grid.
 
         Must be bit-identical to calling :func:`repro.core.evaluator.
-        throughput_upper_bound` once per task (within
-        ``float_tolerance`` for non-exact backends).
+        throughput_upper_bound` once per task.
         """
         raise NotImplementedError
 
@@ -733,340 +652,108 @@ class ArrayBackend:
     ) -> PopulationScores:
         """Fused batch-eval kernel: score a whole gene population.
 
-        Must match the scalar oracle per lane — bit-identical for exact
-        backends, within ``float_tolerance`` relative error on float
-        fields for GPU backends (feasibility flags, bottleneck indices
-        and macro counts stay exact everywhere). Outputs are host numpy
-        arrays with infeasible lanes masked.
+        Must match the scalar oracle per lane, bit for bit. Outputs are
+        numpy arrays with infeasible lanes masked.
         """
         raise NotImplementedError
 
 
-# ----------------------------------------------------------------------
-# Array-module adapters (numpy / cupy / torch)
-# ----------------------------------------------------------------------
-class _ArrayOps:
-    """numpy-flavored adapter the vectorized engine is written against.
-
-    For numpy every method delegates 1:1 (bit-identity with the
-    pre-seam code is structural, not accidental); cupy reuses this
-    class wholesale because its API is a numpy drop-in.
-    """
-
-    def __init__(self, xp) -> None:
-        self.xp = xp
-        self.float64 = xp.float64
-        self.int64 = xp.int64
-        self.bool_ = xp.bool_
-
-    def asarray(self, a, dtype=None):
-        return self.xp.asarray(a, dtype=dtype)
-
-    def zeros(self, shape, dtype):
-        return self.xp.zeros(shape, dtype=dtype)
-
-    def full(self, shape, fill, dtype):
-        return self.xp.full(shape, fill, dtype=dtype)
-
-    def arange(self, n):
-        return self.xp.arange(n, dtype=self.int64)
-
-    def divmod(self, a, b):
-        return self.xp.divmod(a, b)
-
-    def take_along(self, a, idx):
-        return self.xp.take_along_axis(a, idx, axis=1)
-
-    def cumsum1(self, a):
-        return self.xp.cumsum(a, axis=1)
-
-    def sum1(self, a):
-        return self.xp.sum(a, axis=1)
-
-    def max1(self, a):
-        return self.xp.max(a, axis=1)
-
-    def argmax1(self, a):
-        return self.xp.argmax(a, axis=1)
-
-    def maximum(self, a, b):
-        return self.xp.maximum(a, b)
-
-    def minimum(self, a, b):
-        return self.xp.minimum(a, b)
-
-    def where(self, cond, a, b):
-        return self.xp.where(cond, a, b)
-
-    def abs(self, a):
-        return self.xp.abs(a)
-
-    def sqrt(self, a):
-        return self.xp.sqrt(a)
-
-    def ceil(self, a):
-        return self.xp.ceil(a)
-
-    def astype(self, a, dtype):
-        return a.astype(dtype)
-
-    def copy(self, a):
-        return a.copy()
-
-    def any(self, a) -> bool:
-        return bool(self.xp.any(a))
-
-    def errstate(self):
-        return self.xp.errstate(all="ignore")
-
-    def to_host(self, a):
-        return a
+def _hops(a, b, cols):
+    return np.abs(a // cols - b // cols) + np.abs(a % cols - b % cols)
 
 
-class _CupyOps(_ArrayOps):
-    """cupy flavor: no errstate (CUDA math never warns), explicit
-    device-to-host copies on the way out."""
-
-    def errstate(self):
-        return contextlib.nullcontext()
-
-    def to_host(self, a):
-        return self.xp.asnumpy(a)
-
-
-class _TorchOps:
-    """torch flavor of the adapter interface.
-
-    ``errstate()`` doubles as a float64-default guard: torch promotes
-    ``python-float * int64-tensor`` to the *default* dtype (float32 out
-    of the box), which would silently degrade the IEEE-754 contract —
-    every fused kernel runs inside this context so mixed scalar/int
-    arithmetic lands in float64, matching numpy's promotion rules.
-    """
-
-    def __init__(self, torch, device) -> None:
-        self.torch = torch
-        self.device = device
-        self.float64 = torch.float64
-        self.int64 = torch.int64
-        self.bool_ = torch.bool
-
-    def _wrap(self, x, ref=None):
-        t = self.torch
-        if isinstance(x, t.Tensor):
-            return x
-        dtype = ref.dtype if isinstance(ref, t.Tensor) else None
-        return t.as_tensor(x, dtype=dtype, device=self.device)
-
-    def asarray(self, a, dtype=None):
-        t = self.torch
-        if isinstance(a, t.Tensor):
-            out = a.to(self.device)
-            return out if dtype is None else out.to(dtype)
-        return t.as_tensor(a, dtype=dtype, device=self.device)
-
-    def zeros(self, shape, dtype):
-        return self.torch.zeros(shape, dtype=dtype, device=self.device)
-
-    def full(self, shape, fill, dtype):
-        return self.torch.full(
-            shape, fill, dtype=dtype, device=self.device
-        )
-
-    def arange(self, n):
-        return self.torch.arange(
-            n, dtype=self.int64, device=self.device
-        )
-
-    def divmod(self, a, b):
-        q = self.torch.div(a, b, rounding_mode="floor")
-        return q, a - q * b
-
-    def take_along(self, a, idx):
-        return self.torch.take_along_dim(a, idx, dim=1)
-
-    def cumsum1(self, a):
-        return self.torch.cumsum(a, dim=1)
-
-    def sum1(self, a):
-        return self.torch.sum(a, dim=1)
-
-    def max1(self, a):
-        return self.torch.max(a, dim=1).values
-
-    def argmax1(self, a):
-        return self.torch.argmax(a, dim=1)
-
-    def maximum(self, a, b):
-        return self.torch.maximum(self._wrap(a, b), self._wrap(b, a))
-
-    def minimum(self, a, b):
-        return self.torch.minimum(self._wrap(a, b), self._wrap(b, a))
-
-    def where(self, cond, a, b):
-        return self.torch.where(cond, self._wrap(a, b), self._wrap(b, a))
-
-    def abs(self, a):
-        return self.torch.abs(a)
-
-    def sqrt(self, a):
-        if not a.is_floating_point():
-            a = a.to(self.float64)
-        return self.torch.sqrt(a)
-
-    def ceil(self, a):
-        return self.torch.ceil(a)
-
-    def astype(self, a, dtype):
-        return a.to(dtype)
-
-    def copy(self, a):
-        return a.clone()
-
-    def any(self, a) -> bool:
-        return bool(self.torch.any(a))
-
-    @contextlib.contextmanager
-    def errstate(self):
-        prev = self.torch.get_default_dtype()
-        self.torch.set_default_dtype(self.torch.float64)
-        try:
-            yield
-        finally:
-            self.torch.set_default_dtype(prev)
-
-    def to_host(self, a):
-        return a.detach().cpu().numpy()
+def _decode(genes):
+    """(owners, is_owner, total_macros, group_start, group_len):
+    contiguous owner groups in layer order, exactly as
+    ``MacroPartition.from_gene`` assigns them."""
+    n = genes.shape[1]
+    owners, counts = np.divmod(genes, _ENCODING_BASE)
+    layer_idx = np.arange(n, dtype=np.int64)
+    is_owner = owners == layer_idx[None, :]
+    sizes = np.where(is_owner, counts, 0)
+    group_starts_by_owner = np.cumsum(sizes, axis=1) - sizes
+    total_macros = np.sum(sizes, axis=1)
+    group_start = np.take_along_axis(group_starts_by_owner, owners, axis=1)
+    group_len = np.take_along_axis(counts, owners, axis=1)
+    return owners, is_owner, total_macros, group_start, group_len
 
 
-class VectorBackend(ArrayBackend):
-    """Shared vectorized engine, parameterized by an array adapter.
+def _ordered_sum(terms):
+    acc = np.zeros(terms.shape[0], dtype=np.float64)
+    for l in range(terms.shape[1]):  # layer order == scalar order
+        acc = acc + terms[:, l]
+    return acc
 
-    ``numpy``, ``cupy`` and ``torch`` are all this implementation with
-    a different :class:`_ArrayOps` flavor — one source of truth for the
-    vectorized math, so the GPU backends cannot drift from the pinned
-    numpy semantics except through the adapter (which the conformance
-    tier exercises per backend).
-    """
 
-    def _ops(self):
-        raise NotImplementedError
+def _ordered_max(terms):
+    acc = terms[:, 0].copy()
+    for l in range(1, terms.shape[1]):
+        acc = np.maximum(acc, terms[:, l])
+    return acc
+
+
+class NumpyBackend(ArrayBackend):
+    """Vectorized ``(tasks, layers)`` evaluation (the default)."""
+
+    name = "numpy"
+    description = "vectorized numpy engine (default)"
 
     # -- op-level primitives -------------------------------------------
     def ordered_sum(self, terms):
-        ops = self._ops()
-        terms = ops.asarray(terms, dtype=ops.float64)
-        acc = ops.zeros(terms.shape[0], ops.float64)
-        for l in range(terms.shape[1]):  # layer order == scalar order
-            acc = acc + terms[:, l]
-        return ops.to_host(acc)
+        return _ordered_sum(np.asarray(terms, dtype=np.float64))
 
     def ordered_max(self, terms):
-        ops = self._ops()
-        terms = ops.asarray(terms, dtype=ops.float64)
-        acc = ops.copy(terms[:, 0])
-        for l in range(1, terms.shape[1]):
-            acc = ops.maximum(acc, terms[:, l])
-        return ops.to_host(acc)
+        return _ordered_max(np.asarray(terms, dtype=np.float64))
 
     def prune_mask(
         self, bounds, positions, incumbent_fitness, incumbent_index
     ):
-        ops = self._ops()
-        bounds = ops.asarray(bounds, dtype=ops.float64)
-        positions = ops.asarray(positions, dtype=ops.int64)
+        bounds = np.asarray(bounds, dtype=np.float64)
+        positions = np.asarray(positions, dtype=np.int64)
         values = bounds[positions]
-        mask = (values < incumbent_fitness) | (
+        return (values < incumbent_fitness) | (
             (values == incumbent_fitness)
             & (positions > incumbent_index)
         )
-        return ops.to_host(mask)
 
     def decode_population(self, genes):
-        ops = self._ops()
-        genes = ops.asarray(genes, dtype=ops.int64)
-        decoded = self._decode_dev(ops, genes)
-        return tuple(ops.to_host(a) for a in decoded)
+        return _decode(np.asarray(genes, dtype=np.int64))
 
     def mesh_hops(self, a, b, cols):
-        ops = self._ops()
-        a = ops.asarray(a, dtype=ops.int64)
-        b = ops.asarray(b, dtype=ops.int64)
-        cols = ops.asarray(cols, dtype=ops.int64)
-        return ops.to_host(self._hops_dev(ops, a, b, cols))
-
-    # -- device-side helpers -------------------------------------------
-    @staticmethod
-    def _hops_dev(ops, a, b, cols):
-        return ops.abs(a // cols - b // cols) + ops.abs(
-            a % cols - b % cols
+        return _hops(
+            np.asarray(a, dtype=np.int64),
+            np.asarray(b, dtype=np.int64),
+            np.asarray(cols, dtype=np.int64),
         )
-
-    @staticmethod
-    def _decode_dev(ops, genes):
-        """(owners, is_owner, total_macros, group_start, group_len) on
-        the device; contiguous owner groups in layer order, exactly as
-        ``MacroPartition.from_gene`` assigns them."""
-        n = genes.shape[1]
-        owners, counts = ops.divmod(genes, _ENCODING_BASE)
-        layer_idx = ops.arange(n)
-        is_owner = owners == layer_idx[None, :]
-        sizes = ops.where(is_owner, counts, 0)
-        group_starts_by_owner = ops.cumsum1(sizes) - sizes
-        total_macros = ops.sum1(sizes)
-        group_start = ops.take_along(group_starts_by_owner, owners)
-        group_len = ops.take_along(counts, owners)
-        return owners, is_owner, total_macros, group_start, group_len
-
-    @staticmethod
-    def _ordered_sum_dev(ops, terms):
-        acc = ops.zeros(terms.shape[0], ops.float64)
-        for l in range(terms.shape[1]):
-            acc = acc + terms[:, l]
-        return acc
-
-    @staticmethod
-    def _ordered_max_dev(ops, terms):
-        acc = ops.copy(terms[:, 0])
-        for l in range(1, terms.shape[1]):
-            acc = ops.maximum(acc, terms[:, l])
-        return acc
 
     # -- fused kernels -------------------------------------------------
     def compute_bounds(self, grid: TaskGrid):
-        ops = self._ops()
-        with ops.errstate():
-            total_blocks = ops.asarray(
-                grid.total_blocks, dtype=ops.int64
+        with np.errstate(all="ignore"):
+            total_blocks = np.asarray(grid.total_blocks, dtype=np.int64)
+            inputs_per_block = np.asarray(
+                grid.inputs_per_block, dtype=np.int64
             )
-            inputs_per_block = ops.asarray(
-                grid.inputs_per_block, dtype=ops.int64
+            outputs_per_block = np.asarray(
+                grid.outputs_per_block, dtype=np.int64
             )
-            outputs_per_block = ops.asarray(
-                grid.outputs_per_block, dtype=ops.int64
+            group_cap = np.asarray(grid.group_cap, dtype=np.float64)
+            crossbars = np.asarray(grid.crossbars, dtype=np.int64)
+            conversions_pbb = np.asarray(
+                grid.conversions_per_block_bit, dtype=np.int64
             )
-            group_cap = ops.asarray(grid.group_cap, dtype=ops.float64)
-            crossbars = ops.asarray(grid.crossbars, dtype=ops.int64)
-            conversions_pbb = ops.asarray(
-                grid.conversions_per_block_bit, dtype=ops.int64
+            bits = np.asarray(grid.bits, dtype=np.int64)
+            adc_power = np.asarray(grid.adc_power, dtype=np.float64)
+            vector_ops = np.asarray(grid.vector_ops, dtype=np.float64)
+            per_crossbar_fixed = np.asarray(
+                grid.per_crossbar_fixed, dtype=np.float64
             )
-            bits = ops.asarray(grid.bits, dtype=ops.int64)
-            adc_power = ops.asarray(grid.adc_power, dtype=ops.float64)
-            vector_ops = ops.asarray(
-                grid.vector_ops, dtype=ops.float64
-            )
-            per_crossbar_fixed = ops.asarray(
-                grid.per_crossbar_fixed, dtype=ops.float64
-            )
-            peripheral_power = ops.asarray(
-                grid.peripheral_power, dtype=ops.float64
+            peripheral_power = np.asarray(
+                grid.peripheral_power, dtype=np.float64
             )
             # Structural floor. Operation order mirrors the scalar
             # PerformanceEvaluator helpers: (blocks * bits) * latency,
             # ((blocks * per_block) * act_bytes) / bandwidth.
-            max_group = ops.maximum(
-                1, self._ordered_max_dev(ops, group_cap)
-            )
+            max_group = np.maximum(1, _ordered_max(group_cap))
             bandwidth = grid.edram_bandwidth * max_group
             mvm = (
                 total_blocks * bits[:, None]
@@ -1077,11 +764,11 @@ class VectorBackend(ArrayBackend):
             store = (
                 (total_blocks * outputs_per_block) * grid.act_bytes
             ) / bandwidth[:, None]
-            stage = ops.maximum(ops.maximum(mvm, load), store)
-            period_floor = self._ordered_max_dev(ops, stage)
+            stage = np.maximum(np.maximum(mvm, load), store)
+            period_floor = _ordered_max(stage)
 
             # Fixed-overhead floor (integer sums are exact in any order).
-            total_crossbars = ops.sum1(crossbars)
+            total_crossbars = np.sum(crossbars, axis=1)
             fixed = (
                 grid.min_macros * grid.per_macro_fixed
                 + total_crossbars * per_crossbar_fixed
@@ -1092,69 +779,56 @@ class VectorBackend(ArrayBackend):
             conversions = (
                 total_blocks * bits[:, None]
             ) * conversions_pbb
-            adc_wl = ops.astype(conversions, ops.float64)
+            adc_wl = conversions.astype(np.float64)
             alu_wl = adc_wl + vector_ops[None, :]
-            adc_denom = self._ordered_sum_dev(
-                ops, adc_power * adc_wl / grid.adc_sample_rate
+            adc_denom = _ordered_sum(
+                adc_power * adc_wl / grid.adc_sample_rate
             )
-            alu_denom = self._ordered_sum_dev(
-                ops, grid.alu_power * alu_wl / grid.alu_frequency
+            alu_denom = _ordered_sum(
+                grid.alu_power * alu_wl / grid.alu_frequency
             )
             if grid.macro_sharing:
                 adc_denom = adc_denom / 2.0
-            period = ops.maximum(
+            period = np.maximum(
                 period_floor, (adc_denom + alu_denom) / available
             )
-            result = ops.where(
+            return np.where(
                 available <= 0,
                 0.0,
-                ops.where(period <= 0, math.inf, 1.0 / period),
+                np.where(period <= 0, math.inf, 1.0 / period),
             )
-            return ops.to_host(result)
 
     def score_population(self, ctx: PopulationContext, genes):
-        """Vectorized batch-eval kernel — the pre-seam numpy math of
-        ``BatchPerformanceEvaluator``, verbatim, against the adapter.
+        """Vectorized batch-eval kernel — the scalar oracle's math over
+        ``(population, layers)`` arrays.
 
-        Host-level control flow (edge CSR walks, per-layer python
-        loops) reads the *host* context arrays; only the elementwise
-        ``(population, layers)`` math runs on the device.
+        Control flow (edge CSR walks, per-layer loops) reads the context
+        arrays; only the elementwise math is vectorized over genes.
         """
-        if _np is None:  # pragma: no cover - ctx assembly needs numpy
-            raise ConfigurationError(
-                "batched evaluation requires numpy (the "
-                "PopulationContext arrays are numpy even for the "
-                "loop backends)"
-            )
-        ops = self._ops()
-        genes_host = _np.asarray(genes, dtype=_np.int64)
-        pop, n = genes_host.shape
-        with ops.errstate():
-            genes_d = ops.asarray(genes_host, dtype=ops.int64)
+        genes = np.asarray(genes, dtype=np.int64)
+        pop, n = genes.shape
+        with np.errstate(all="ignore"):
             owners, is_owner, total_macros, group_start, group_len = (
-                self._decode_dev(ops, genes_d)
+                _decode(genes)
             )
-            # Device copies of the per-layer context arrays that feed
-            # elementwise math (scalars stay host python floats/ints).
-            adc_wl = ops.asarray(ctx.adc_wl, dtype=ops.float64)
-            alu_wl = ops.asarray(ctx.alu_wl, dtype=ops.float64)
-            adc_powers = ops.asarray(ctx.adc_powers, dtype=ops.float64)
-            mvm = ops.asarray(ctx.mvm, dtype=ops.float64)
-            load_num = ops.asarray(ctx.load_num, dtype=ops.float64)
-            store_num = ops.asarray(ctx.store_num, dtype=ops.float64)
+            adc_wl = np.asarray(ctx.adc_wl, dtype=np.float64)
+            alu_wl = np.asarray(ctx.alu_wl, dtype=np.float64)
+            adc_powers = np.asarray(ctx.adc_powers, dtype=np.float64)
+            mvm = np.asarray(ctx.mvm, dtype=np.float64)
+            load_num = np.asarray(ctx.load_num, dtype=np.float64)
+            store_num = np.asarray(ctx.store_num, dtype=np.float64)
 
             # -- Eq. 6 allocation + rule-b sharing ---------------------
             fixed = (
-                ops.astype(total_macros, ops.float64)
-                * ctx.per_macro_fixed
+                total_macros.astype(np.float64) * ctx.per_macro_fixed
                 + ctx.crossbar_fixed
             )
             available = ctx.peripheral_power - fixed
             feasible = available > 0.0
             if ctx.identical_macros:
                 macro_count = group_len  # every group has >= 1 macro
-                adc_demand = ops.max1(adc_wl[None, :] / macro_count)
-                alu_demand = ops.max1(alu_wl[None, :] / macro_count)
+                adc_demand = np.max(adc_wl[None, :] / macro_count, axis=1)
+                alu_demand = np.max(alu_wl[None, :] / macro_count, axis=1)
                 adc_share_weight = (
                     ctx.adc_power_unit * adc_demand / ctx.adc_rate
                 )
@@ -1187,7 +861,7 @@ class VectorBackend(ArrayBackend):
                 if ctx.denom <= 0:
                     # Gene-independent: the scalar path raises for
                     # every gene.
-                    feasible = ops.zeros(pop, ops.bool_)
+                    feasible = np.zeros(pop, dtype=np.bool_)
                 balanced_delay = ctx.denom / available
                 adc_alloc = adc_wl[None, :] / (
                     ctx.adc_rate * balanced_delay
@@ -1199,57 +873,59 @@ class VectorBackend(ArrayBackend):
                 # Sharing post-pass (rule b): per sharer layer i, in
                 # ascending i order — the exact pair order the scalar
                 # code receives from MacroPartition.from_gene.
-                savings = ops.zeros(pop, ops.float64)
-                partner = ops.full((pop, n), -1, ops.int64)
-                rows = ops.arange(pop)
+                savings = np.zeros(pop, dtype=np.float64)
+                partner = np.full((pop, n), -1, dtype=np.int64)
+                rows = np.arange(pop, dtype=np.int64)
                 if ctx.enable_macro_sharing:
                     for i in range(n):
                         sharer = ~is_owner[:, i]
-                        if not ops.any(sharer):
+                        if not np.any(sharer):
                             continue
                         j = owners[:, i]
                         a_i = adc_alloc[:, i]
                         a_j = adc_alloc[rows, j]
                         p_i = adc_powers[i]
                         p_j = adc_powers[j]
-                        bank = ops.maximum(a_j, a_i)
-                        unit = ops.maximum(p_j, p_i)
+                        bank = np.maximum(a_j, a_i)
+                        unit = np.maximum(p_j, p_i)
                         separate = p_j * a_j + p_i * a_i
                         merged = unit * bank
                         include = sharer & (merged < separate)
-                        savings = ops.where(
+                        savings = np.where(
                             include, savings + (separate - merged),
                             savings,
                         )
-                        partner[:, i] = ops.where(
+                        partner[:, i] = np.where(
                             include, j, partner[:, i]
                         )
                         prev = partner[rows, j]
-                        partner[rows, j] = ops.where(include, i, prev)
+                        partner[rows, j] = np.where(include, i, prev)
 
                 apply_scale = (savings > 0.0) & (savings < available)
-                scale = ops.where(
+                scale = np.where(
                     apply_scale,
-                    available / ops.where(
+                    available / np.where(
                         apply_scale, available - savings, 1.0
                     ),
                     1.0,
                 )
 
                 has_partner = partner >= 0
-                partner_idx = ops.where(has_partner, partner, 0)
-                partner_alloc = ops.take_along(adc_alloc, partner_idx)
+                partner_idx = np.where(has_partner, partner, 0)
+                partner_alloc = np.take_along_axis(
+                    adc_alloc, partner_idx, axis=1
+                )
                 bank = (
-                    ops.maximum(adc_alloc, partner_alloc)
+                    np.maximum(adc_alloc, partner_alloc)
                     * scale[:, None]
                 )
-                layer_idx = ops.arange(n)
-                distance = ops.abs(layer_idx[None, :] - partner_idx)
-                overlap = ops.maximum(
+                layer_idx = np.arange(n, dtype=np.int64)
+                distance = np.abs(layer_idx[None, :] - partner_idx)
+                overlap = np.maximum(
                     0.0,
                     1.0 - distance / max(1, ctx.overlap_window),
                 )
-                effective_adc = ops.where(
+                effective_adc = np.where(
                     has_partner,
                     bank / (1.0 + overlap),
                     adc_alloc * scale[:, None],
@@ -1265,26 +941,26 @@ class VectorBackend(ArrayBackend):
                 # Power drawn: shared banks counted once, at the pair's
                 # first (owner-side) index; ordered accumulation
                 # matches the scalar loop.
-                adc_power_used = ops.zeros(pop, ops.float64)
+                adc_power_used = np.zeros(pop, dtype=np.float64)
                 for l in range(n):
                     hp = has_partner[:, l]
                     pidx = partner_idx[:, l]
                     term_solo = (
                         adc_powers[l] * adc_alloc[:, l]
                     ) * scale
-                    bank_l = ops.maximum(
+                    bank_l = np.maximum(
                         adc_alloc[:, l], adc_alloc[rows, pidx]
                     ) * scale
-                    term_pair = ops.maximum(
+                    term_pair = np.maximum(
                         adc_powers[l], adc_powers[pidx]
                     ) * bank_l
                     count_here = ~hp | (pidx > l)
-                    term = ops.where(hp, term_pair, term_solo)
-                    adc_power_used = ops.where(
+                    term = np.where(hp, term_pair, term_solo)
+                    adc_power_used = np.where(
                         count_here, adc_power_used + term,
                         adc_power_used,
                     )
-                alu_power_used = ops.zeros(pop, ops.float64)
+                alu_power_used = np.zeros(pop, dtype=np.float64)
                 for l in range(n):
                     alu_power_used = alu_power_used + (
                         ctx.alu_power * alu_alloc[:, l]
@@ -1295,14 +971,11 @@ class VectorBackend(ArrayBackend):
             bandwidth = ctx.edram_bandwidth * group_len
             load = load_num[None, :] / bandwidth
             store = store_num[None, :] / bandwidth
-            comm = ops.zeros((pop, n), ops.float64)
-            cols = ops.maximum(
+            comm = np.zeros((pop, n), dtype=np.float64)
+            cols = np.maximum(
                 1,
-                ops.astype(
-                    ops.ceil(
-                        ops.sqrt(ops.maximum(1, total_macros))
-                    ),
-                    ops.int64,
+                np.ceil(np.sqrt(np.maximum(1, total_macros))).astype(
+                    np.int64
                 ),
             )
             # Partial-sum merge for row-tiled layers spanning macros.
@@ -1310,19 +983,19 @@ class VectorBackend(ArrayBackend):
                 if int(ctx.row_tiles[l]) <= 1:
                     continue
                 multi = group_len[:, l] > 1
-                if not ops.any(multi):
+                if not np.any(multi):
                     continue
                 start = group_start[:, l]
-                neighbor = self._hops_dev(ops, start, start + 1, cols)
+                neighbor = _hops(start, start + 1, cols)
                 per_round_bytes = (
                     float(ctx.per_round_num[l]) / group_len[:, l]
                 )
                 per_block = int(ctx.merge_rounds[l]) * (
                     per_round_bytes / ctx.noc_port_bandwidth
-                    + ops.maximum(1, neighbor) * ctx.noc_hop_latency
+                    + np.maximum(1, neighbor) * ctx.noc_hop_latency
                 )
                 merge_time = int(ctx.total_blocks[l]) * per_block
-                comm[:, l] = ops.where(
+                comm[:, l] = np.where(
                     multi, comm[:, l] + merge_time, comm[:, l]
                 )
             # Activation transfers, per inter-layer edge in model order.
@@ -1336,17 +1009,15 @@ class VectorBackend(ArrayBackend):
                     s1 = s0 + group_len[:, producer] - 1
                     d0 = group_start[:, consumer]
                     d1 = d0 + group_len[:, consumer] - 1
-                    hops = ops.minimum(
-                        ops.minimum(
-                            self._hops_dev(ops, s0, d0, cols),
-                            self._hops_dev(ops, s1, d0, cols),
+                    hops = np.minimum(
+                        np.minimum(
+                            _hops(s0, d0, cols), _hops(s1, d0, cols)
                         ),
-                        ops.minimum(
-                            self._hops_dev(ops, s0, d1, cols),
-                            self._hops_dev(ops, s1, d1, cols),
+                        np.minimum(
+                            _hops(s0, d1, cols), _hops(s1, d1, cols)
                         ),
                     )
-                    ports = ops.minimum(
+                    ports = np.minimum(
                         group_len[:, producer], group_len[:, consumer]
                     )
                     serialization = float(ctx.out_bytes[producer]) / (
@@ -1355,32 +1026,32 @@ class VectorBackend(ArrayBackend):
                     head = (
                         int(ctx.total_blocks[producer]) * hops
                     ) * ctx.noc_hop_latency
-                    comm[:, producer] = ops.where(
+                    comm[:, producer] = np.where(
                         same,
                         comm[:, producer],
                         comm[:, producer] + (serialization + head),
                     )
 
-            stage_total = ops.maximum(mvm[None, :], adc_delay)
-            stage_total = ops.maximum(stage_total, alu_delay)
-            stage_total = ops.maximum(stage_total, load)
-            stage_total = ops.maximum(stage_total, store)
-            stage_total = ops.maximum(stage_total, comm)
+            stage_total = np.maximum(mvm[None, :], adc_delay)
+            stage_total = np.maximum(stage_total, alu_delay)
+            stage_total = np.maximum(stage_total, load)
+            stage_total = np.maximum(stage_total, store)
+            stage_total = np.maximum(stage_total, comm)
 
-            period = ops.max1(stage_total)
-            bottleneck = ops.argmax1(stage_total)
+            period = np.max(stage_total, axis=1)
+            bottleneck = np.argmax(stage_total, axis=1)
 
             # Fine-grained pipeline latency (vectorized forward pass).
-            starts = ops.zeros((pop, n), ops.float64)
-            ends = ops.zeros((pop, n), ops.float64)
+            starts = np.zeros((pop, n), dtype=np.float64)
+            ends = np.zeros((pop, n), dtype=np.float64)
             for idx in range(n):
-                start = ops.zeros(pop, ops.float64)
+                start = np.zeros(pop, dtype=np.float64)
                 lo = int(ctx.lat_offsets[idx])
                 hi = int(ctx.lat_offsets[idx + 1])
                 for e in range(lo, hi):
                     producer = int(ctx.lat_producer[e])
                     fraction = float(ctx.lat_fraction[e])
-                    start = ops.maximum(
+                    start = np.maximum(
                         start,
                         starts[:, producer]
                         + stage_total[:, producer] * fraction,
@@ -1388,154 +1059,42 @@ class VectorBackend(ArrayBackend):
                 starts[:, idx] = start
                 ends[:, idx] = start + stage_total[:, idx]
             latency = (
-                ops.max1(ends) if n else ops.zeros(pop, ops.float64)
+                np.max(ends, axis=1) if n
+                else np.zeros(pop, dtype=np.float64)
             )
 
             # -- power account + derived metrics -----------------------
             power = ctx.rram_power + (fixed + adc_alu_power)
             throughput = 1.0 / period
             tops = ctx.macs2 / period / 1e12
-            tops_per_watt = ops.where(power > 0, tops / power, 0.0)
+            tops_per_watt = np.where(power > 0, tops / power, 0.0)
             energy = power * latency
             edp = energy * latency
 
             def _mask(values):
-                return ops.where(feasible, values, 0.0)
+                return np.where(feasible, values, 0.0)
 
             return PopulationScores(
-                feasible=ops.to_host(feasible),
-                fitness=ops.to_host(_mask(throughput)),
-                period=ops.to_host(_mask(period)),
-                latency=ops.to_host(_mask(latency)),
-                throughput=ops.to_host(_mask(throughput)),
-                tops=ops.to_host(_mask(tops)),
-                power=ops.to_host(_mask(power)),
-                tops_per_watt=ops.to_host(_mask(tops_per_watt)),
-                energy_per_image=ops.to_host(_mask(energy)),
-                edp=ops.to_host(_mask(edp)),
-                bottleneck_layer=ops.to_host(
-                    ops.where(feasible, bottleneck, -1)
-                ),
-                num_macros=ops.to_host(
-                    ops.where(feasible, total_macros, 0)
-                ),
+                feasible=feasible,
+                fitness=_mask(throughput),
+                period=_mask(period),
+                latency=_mask(latency),
+                throughput=_mask(throughput),
+                tops=_mask(tops),
+                power=_mask(power),
+                tops_per_watt=_mask(tops_per_watt),
+                energy_per_image=_mask(energy),
+                edp=_mask(edp),
+                bottleneck_layer=np.where(feasible, bottleneck, -1),
+                num_macros=np.where(feasible, total_macros, 0),
             )
-
-
-class NumpyBackend(VectorBackend):
-    """Vectorized ``(tasks, layers)`` evaluation (the default)."""
-
-    name = "numpy"
-    description = "vectorized numpy engine (default)"
-    _ops_cache: Optional[_ArrayOps] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        return _np is not None
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if _np is None:  # pragma: no cover - the image bakes numpy in
-            return "numpy is not importable on this interpreter"
-        return None
-
-    def _ops(self):
-        if NumpyBackend._ops_cache is None:
-            NumpyBackend._ops_cache = _ArrayOps(_np)
-        return NumpyBackend._ops_cache
-
-
-class CupyBackend(VectorBackend):
-    """The vectorized engine on CUDA through cupy (numpy drop-in).
-
-    Registered unconditionally, like a device technology; available
-    only when cupy imports *and* a CUDA device is present. Float
-    kernels are held to the 1e-9 relative GPU tolerance; integer and
-    geometry outputs stay exact.
-    """
-
-    name = "cupy"
-    description = "cupy CUDA engine (optional dependency, GPU)"
-    exact = False
-    float_tolerance = 1e-9
-    _ops_cache: Optional[_CupyOps] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        if _np is None:
-            return False
-        try:
-            import cupy
-
-            return int(cupy.cuda.runtime.getDeviceCount()) > 0
-        except Exception:
-            return False
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if not cls.available():
-            return (
-                "cupy with a visible CUDA device is required "
-                "(install cupy and run on a GPU host to enable it)"
-            )
-        return None  # pragma: no cover - needs a CUDA device
-
-    def _ops(self):  # pragma: no cover - needs a CUDA device
-        if CupyBackend._ops_cache is None:
-            import cupy
-
-            CupyBackend._ops_cache = _CupyOps(cupy)
-        return CupyBackend._ops_cache
-
-
-class TorchBackend(VectorBackend):
-    """The vectorized engine on torch tensors (CUDA when available).
-
-    Falls back to CPU tensors without a GPU — still useful as an
-    independent execution engine for conformance cross-checks. Float
-    kernels are held to the 1e-9 relative GPU tolerance; integer and
-    geometry outputs stay exact.
-    """
-
-    name = "torch"
-    description = "torch tensor engine (optional dependency, GPU/CPU)"
-    exact = False
-    float_tolerance = 1e-9
-    _ops_cache: Optional[_TorchOps] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        if _np is None:
-            return False
-        try:
-            import torch  # noqa: F401
-        except Exception:
-            return False
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if not cls.available():
-            return (
-                "torch is not importable on this interpreter "
-                "(install torch to enable the tensor backend)"
-            )
-        return None  # pragma: no cover - torch present
-
-    def _ops(self):  # pragma: no cover - needs torch installed
-        if TorchBackend._ops_cache is None:
-            import torch
-
-            device = "cuda" if torch.cuda.is_available() else "cpu"
-            TorchBackend._ops_cache = _TorchOps(torch, device)
-        return TorchBackend._ops_cache
 
 
 class PythonBackend(ArrayBackend):
-    """Dependency-free scalar loops — the conformance reference."""
+    """Scalar loops — the conformance reference."""
 
     name = "python"
-    description = "pure-Python loop engine (reference / fallback)"
+    description = "pure-Python loop engine (reference)"
 
     @staticmethod
     def _rows(terms) -> List[Sequence[float]]:
@@ -1575,18 +1134,13 @@ class PythonBackend(ArrayBackend):
         ]
 
     def decode_population(self, genes):
-        if _np is None:  # pragma: no cover - gene arrays are numpy
-            raise ConfigurationError(
-                "population decoding returns numpy arrays; numpy is "
-                "not importable on this interpreter"
-            )
-        genes = _np.asarray(genes, dtype=_np.int64)
+        genes = np.asarray(genes, dtype=np.int64)
         pop, n = genes.shape
-        owners = _np.zeros((pop, n), dtype=_np.int64)
-        is_owner = _np.zeros((pop, n), dtype=bool)
-        total_macros = _np.zeros(pop, dtype=_np.int64)
-        group_start = _np.zeros((pop, n), dtype=_np.int64)
-        group_len = _np.zeros((pop, n), dtype=_np.int64)
+        owners = np.zeros((pop, n), dtype=np.int64)
+        is_owner = np.zeros((pop, n), dtype=bool)
+        total_macros = np.zeros(pop, dtype=np.int64)
+        group_start = np.zeros((pop, n), dtype=np.int64)
+        group_len = np.zeros((pop, n), dtype=np.int64)
         for p in range(pop):
             counts = []
             starts = []
@@ -1610,17 +1164,12 @@ class PythonBackend(ArrayBackend):
         return owners, is_owner, total_macros, group_start, group_len
 
     def mesh_hops(self, a, b, cols):
-        if _np is None:  # pragma: no cover - hop arrays are numpy
-            raise ConfigurationError(
-                "mesh_hops returns numpy arrays; numpy is not "
-                "importable on this interpreter"
-            )
-        a = _np.asarray(a, dtype=_np.int64)
-        b = _np.asarray(b, dtype=_np.int64)
-        cols_arr = _np.broadcast_to(
-            _np.asarray(cols, dtype=_np.int64), a.shape
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        cols_arr = np.broadcast_to(
+            np.asarray(cols, dtype=np.int64), a.shape
         )
-        out = _np.zeros(a.shape, dtype=_np.int64)
+        out = np.zeros(a.shape, dtype=np.int64)
         flat_a = a.ravel()
         flat_b = b.ravel()
         flat_c = cols_arr.ravel()
@@ -1634,22 +1183,9 @@ class PythonBackend(ArrayBackend):
             )
         return out
 
-    def _kernel(self):
-        """The bound loop kernel to run (the JIT backend overrides)."""
-        return _bound_loops
-
-    def _score_kernel(self):
-        """The population loop kernel (the JIT backend overrides)."""
-        return _score_loops
-
     def compute_bounds(self, grid: TaskGrid):
-        if _np is None:  # pragma: no cover - grid assembly needs numpy
-            raise ConfigurationError(
-                "grid evaluation requires numpy (the TaskGrid arrays "
-                "are numpy even for the loop backends)"
-            )
-        out = _np.zeros(grid.num_tasks, dtype=_np.float64)
-        return self._kernel()(
+        out = np.zeros(grid.num_tasks, dtype=np.float64)
+        return _bound_loops(
             grid.total_blocks, grid.inputs_per_block,
             grid.outputs_per_block, grid.group_cap, grid.crossbars,
             grid.conversions_per_block_bit, grid.bits, grid.adc_power,
@@ -1661,31 +1197,25 @@ class PythonBackend(ArrayBackend):
         )
 
     def score_population(self, ctx: PopulationContext, genes):
-        if _np is None:  # pragma: no cover - ctx assembly needs numpy
-            raise ConfigurationError(
-                "batched evaluation requires numpy (the "
-                "PopulationContext arrays are numpy even for the "
-                "loop backends)"
-            )
-        genes = _np.asarray(genes, dtype=_np.int64)
+        genes = np.asarray(genes, dtype=np.int64)
         pop = genes.shape[0]
-        feasible = _np.zeros(pop, dtype=bool)
-        fitness = _np.zeros(pop, dtype=_np.float64)
-        period = _np.zeros(pop, dtype=_np.float64)
-        latency = _np.zeros(pop, dtype=_np.float64)
-        throughput = _np.zeros(pop, dtype=_np.float64)
-        tops = _np.zeros(pop, dtype=_np.float64)
-        power = _np.zeros(pop, dtype=_np.float64)
-        tops_per_watt = _np.zeros(pop, dtype=_np.float64)
-        energy = _np.zeros(pop, dtype=_np.float64)
-        edp = _np.zeros(pop, dtype=_np.float64)
-        bottleneck = _np.zeros(pop, dtype=_np.int64)
-        num_macros = _np.zeros(pop, dtype=_np.int64)
+        feasible = np.zeros(pop, dtype=bool)
+        fitness = np.zeros(pop, dtype=np.float64)
+        period = np.zeros(pop, dtype=np.float64)
+        latency = np.zeros(pop, dtype=np.float64)
+        throughput = np.zeros(pop, dtype=np.float64)
+        tops = np.zeros(pop, dtype=np.float64)
+        power = np.zeros(pop, dtype=np.float64)
+        tops_per_watt = np.zeros(pop, dtype=np.float64)
+        energy = np.zeros(pop, dtype=np.float64)
+        edp = np.zeros(pop, dtype=np.float64)
+        bottleneck = np.zeros(pop, dtype=np.int64)
+        num_macros = np.zeros(pop, dtype=np.int64)
         # errstate: the kernel's per-lane numpy-scalar arithmetic may
         # produce inf/nan exactly where the vectorized engine does;
         # suppress the matching warnings the same way.
-        with _np.errstate(all="ignore"):
-            self._score_kernel()(
+        with np.errstate(all="ignore"):
+            _score_loops(
                 genes,
                 ctx.mvm, ctx.load_num, ctx.store_num, ctx.total_blocks,
                 ctx.row_tiles, ctx.merge_rounds, ctx.per_round_num,
@@ -1713,169 +1243,46 @@ class PythonBackend(ArrayBackend):
         )
 
 
-class NumbaBackend(PythonBackend):
-    """The loop kernels JIT-compiled with ``numba.njit`` (IEEE-strict).
-
-    ``fastmath`` stays off: reassociation would break the bit-identity
-    contract that makes the tensorized walk safe. Both compiled kernels
-    (bounds and population scoring) are cached on the class after the
-    first call.
-    """
-
-    name = "numba"
-    description = "numba-JIT loop engine (optional dependency)"
-    _compiled = None
-    _score_compiled = None
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return _np is not None
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if not cls.available():
-            return (
-                "numba is not importable on this interpreter "
-                "(install numba to enable the JIT backend)"
-            )
-        return None  # pragma: no cover - numba present
-
-    def _kernel(self):  # pragma: no cover - needs numba installed
-        if NumbaBackend._compiled is None:
-            import numba
-
-            NumbaBackend._compiled = numba.njit(
-                cache=False, fastmath=False
-            )(_bound_loops)
-        return NumbaBackend._compiled
-
-    def _score_kernel(self):  # pragma: no cover - needs numba installed
-        if NumbaBackend._score_compiled is None:
-            import numba
-
-            NumbaBackend._score_compiled = numba.njit(
-                cache=False, fastmath=False
-            )(_score_loops)
-        return NumbaBackend._score_compiled
-
-
 # ----------------------------------------------------------------------
-# Registry (mirrors repro.hardware.tech)
+# Registry
 # ----------------------------------------------------------------------
-#: Names whose engines are defined by this module and cannot be
-#: replaced with different implementations.
-BUILTIN_BACKENDS: Tuple[str, ...] = (
-    "numpy", "python", "numba", "cupy", "torch"
-)
-
 #: The backend every config selects unless told otherwise.
 DEFAULT_BACKEND = "numpy"
 
-_REGISTRY: Dict[str, ArrayBackend] = {}
+_REGISTRY: Dict[str, ArrayBackend] = {
+    backend.name: backend for backend in (NumpyBackend(), PythonBackend())
+}
 
-
-def _ensure_builtins() -> None:
-    if not _REGISTRY:
-        for backend_cls in (
-            NumpyBackend, PythonBackend, NumbaBackend, CupyBackend,
-            TorchBackend,
-        ):
-            _REGISTRY[backend_cls.name] = backend_cls()
-
-
-def register_backend(
-    backend: ArrayBackend, replace: bool = False
-) -> ArrayBackend:
-    """Add a backend instance to the registry.
-
-    Re-registering an existing name requires ``replace=True``; the
-    built-in names can never be rebound to a different class (the
-    conformance suite and the CLI docs are defined against them) —
-    re-registering an instance of the *same* class is a no-op success.
-    """
-    _ensure_builtins()
-    if not isinstance(backend, ArrayBackend):
-        raise ConfigurationError(
-            f"expected an ArrayBackend, got {type(backend).__name__}"
-        )
-    if not backend.name or not isinstance(backend.name, str):
-        raise ConfigurationError(
-            "backend name must be a non-empty string"
-        )
-    existing = _REGISTRY.get(backend.name)
-    if backend.name in BUILTIN_BACKENDS:
-        if type(existing) is not type(backend):
-            raise ConfigurationError(
-                f"the built-in {backend.name!r} backend cannot be "
-                "replaced; register the engine under a new name"
-            )
-        return existing
-    if existing is not None and not replace:
-        raise ConfigurationError(
-            f"backend {backend.name!r} is already registered "
-            "(pass replace=True to update it)"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a user-registered backend (built-ins cannot be removed)."""
-    _ensure_builtins()
-    if name in BUILTIN_BACKENDS:
-        raise ConfigurationError(
-            f"the built-in {name!r} backend cannot be unregistered"
-        )
-    _REGISTRY.pop(name, None)
+#: Every selectable backend name, default first.
+BUILTIN_BACKENDS: Tuple[str, ...] = tuple(_REGISTRY)
 
 
 def get_backend(name: str = DEFAULT_BACKEND) -> ArrayBackend:
-    """Look up an *available* backend by name.
+    """Look up a backend by name (instances pass through).
 
-    Unknown names and registered-but-unavailable backends (e.g.
-    ``numba`` without numba installed, ``cupy`` without a CUDA device)
-    both raise :class:`~repro.errors.ConfigurationError` with an
-    actionable message — configs fail fast at construction, not
+    Unknown names raise :class:`~repro.errors.ConfigurationError`
+    naming the valid ones, so configs fail fast at construction, not
     mid-walk.
     """
-    _ensure_builtins()
     if isinstance(name, ArrayBackend):
         return name
     try:
-        backend = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown backend {name!r}; available: "
             f"{available_backends()}"
         ) from None
-    if not backend.available():
-        raise ConfigurationError(
-            f"backend {name!r} is unavailable: "
-            f"{backend.unavailable_reason()}"
-        )
-    return backend
 
 
 def available_backends() -> List[str]:
-    """Registered backend names, built-ins first, extras sorted."""
-    _ensure_builtins()
-    extras = sorted(n for n in _REGISTRY if n not in BUILTIN_BACKENDS)
-    return list(BUILTIN_BACKENDS) + extras
+    """Every backend name, default first."""
+    return list(BUILTIN_BACKENDS)
 
 
 def backend_status() -> List[Tuple[str, bool, str]]:
-    """(name, available, description-or-reason) for every backend."""
-    _ensure_builtins()
-    rows = []
-    for name in available_backends():
-        backend = _REGISTRY[name]
-        ok = backend.available()
-        note = backend.description if ok else (
-            backend.unavailable_reason() or "unavailable"
-        )
-        rows.append((name, ok, note))
-    return rows
+    """(name, available, description) for every backend."""
+    return [
+        (name, True, backend.description)
+        for name, backend in _REGISTRY.items()
+    ]

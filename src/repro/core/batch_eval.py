@@ -17,8 +17,7 @@ balanced delay, the ADC-sharing post-pass, stage times, the
 fine-grained pipeline latency and the power account — runs as one fused
 :meth:`repro.core.backend.ArrayBackend.score_population` kernel on the
 configured array backend (``SynthesisConfig.backend``): vectorized
-numpy by default, pure-Python loops as the oracle, the same loops
-numba-JIT'd, or a GPU engine (cupy / torch) when available.
+numpy by default, or the pure-Python loops of the reference engine.
 
 Exactness contract
 ------------------
@@ -27,13 +26,9 @@ approximation: every formula is evaluated with the *same operation
 order* as the scalar code (`allocate_components` /
 ``PerformanceEvaluator.evaluate``), and IEEE-754 float64 arithmetic is
 deterministic, so batched metrics are bit-identical to the scalar ones
-wherever the scalar path is defined — on every *exact* backend
-(numpy / python / numba). Cross-layer reductions that the scalar code
-performs as ordered Python sums are likewise accumulated in layer
-order. GPU backends are held to the documented 1e-9 relative tolerance
-on float kernels (integer outputs stay exact), and full synthesis still
-reports bit-identical solutions because the explorer re-scores the
-winning gene through the scalar oracle.
+wherever the scalar path is defined — on both backends. Cross-layer
+reductions that the scalar code performs as ordered Python sums are
+likewise accumulated in layer order.
 ``tests/test_batch_eval_differential.py`` pins the scalar contract
 across the entire model zoo, ``tests/test_batch_eval_backend_
 differential.py`` pins it per backend, and full synthesis selects the
@@ -51,19 +46,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-# The numpy gate is shared with every tensorized path (grid_eval, the
-# array backends) through repro.core.backend — one switch to stub or
-# monkeypatch, not three. Call sites bind `np = numpy_module()` live
-# (never a module-level snapshot) so patching the gate reaches every
-# method uniformly. This module never imports numpy directly (an AST
-# guard in tests/test_backend_conformance.py enforces that).
+import numpy as np
+
 from repro.core.backend import (
     DEFAULT_BACKEND,
     PopulationContext,
     get_backend,
-    numpy_module,
 )
-
 from repro.core.component_alloc import (
     fixed_overhead_power,
     layer_workloads,
@@ -78,15 +67,6 @@ from repro.nn.workload import model_macs
 Gene = Tuple[int, ...]
 
 _ENCODING_BASE = 1000  # keep in sync with repro.core.macro_partition
-
-
-def numpy_available() -> bool:
-    """True when the vectorized engine can run on this interpreter.
-
-    Delegates to :func:`repro.core.backend.numpy_available` — the
-    single gate shared by every tensorized path.
-    """
-    return numpy_module() is not None
 
 
 @dataclass
@@ -146,12 +126,6 @@ class BatchPerformanceEvaluator:
         overlap_window: int = 4,
         backend: "object" = DEFAULT_BACKEND,
     ) -> None:
-        if numpy_module() is None:  # pragma: no cover - defensive gate
-            raise ConfigurationError(
-                "numpy is required for batched evaluation; set "
-                "SynthesisConfig.batch_eval=False to use the scalar "
-                "engine"
-            )
         self.spec = spec
         self.budget = budget
         self.res_dac = res_dac
@@ -168,11 +142,10 @@ class BatchPerformanceEvaluator:
     def context(self) -> PopulationContext:
         """The gene-independent scoring context handed to the backend
         (one per evaluator; the conformance tier scores it through
-        every registered backend)."""
+        both backends)."""
         return self._ctx
 
     def _precompute(self) -> None:
-        np = numpy_module()
         spec = self.spec
         params = spec.params
         budget = self.budget
@@ -346,7 +319,6 @@ class BatchPerformanceEvaluator:
         """Validates like ``decode_gene`` / ``MacroPartition.
         from_gene``; raises :class:`ConfigurationError` so malformed
         genes fail identically on every backend."""
-        np = numpy_module()
         owners, counts = np.divmod(genes_arr, _ENCODING_BASE)
         layer_idx = np.arange(self.num_layers, dtype=np.int64)
         if np.any(counts < 1):
@@ -367,7 +339,6 @@ class BatchPerformanceEvaluator:
         self, genes: Sequence[Gene]
     ) -> BatchEvaluation:
         """Score every gene; metrics are 0.0 where infeasible."""
-        np = numpy_module()
         if len(genes) == 0:
             empty = np.zeros(0, dtype=np.float64)
             return BatchEvaluation(

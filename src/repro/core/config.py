@@ -9,6 +9,7 @@ benches snappy while exercising every stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -121,8 +122,7 @@ class SynthesisConfig:
         instead of one Python call per gene). The batched engine
         replicates the scalar oracle's operation order, so results are
         identical for a fixed seed — this knob only changes speed.
-        ``False`` falls back to gene-at-a-time evaluation (also the
-        automatic fallback when numpy is unavailable).
+        ``False`` falls back to gene-at-a-time evaluation.
     sa_proposal_batch:
         Neighbor proposals the stage-1 SA filter draws and scores per
         batch (its Eq. 4 energies vectorize the same way). ``1``
@@ -151,30 +151,23 @@ class SynthesisConfig:
         tasks by vectorized masking. The grid path is bit-identical
         to the per-task walk, so this knob — like ``batch_eval`` —
         only changes speed and is excluded from content keys.
-        ``False`` (or a numpy-less interpreter) falls back to the
-        per-task scalar walk.
+        ``False`` falls back to the per-task scalar walk.
     backend:
         Name of the array-execution backend every tensorized path
         runs on — the outer task-grid walk *and* the batched EA/NSGA/
         SA population scoring (see :mod:`repro.core.backend`):
-        ``"numpy"`` (default), ``"python"`` (loop reference),
-        ``"numba"`` (JIT), ``"cupy"`` / ``"torch"`` (GPU, when their
-        stacks import), or any registered third-party engine. Exact
-        backends are bit-identical by contract; GPU backends keep
-        integer outputs exact and float kernels within 1e-9 relative,
-        with winning genes re-scored on the scalar oracle — so the
-        choice is execution-only and excluded from content keys
-        either way. Unknown or unavailable names fail at
-        construction.
+        ``"numpy"`` (default, vectorized) or ``"python"`` (the loop
+        reference). Both are bit-identical by contract, so the choice
+        is execution-only and excluded from content keys. Unknown
+        names fail at construction.
     sim_engine:
         Name of the cycle-simulator event-wheel engine every replay of
         this config's solutions runs on (see
-        :mod:`repro.sim.cycle.engine`): ``"auto"`` (default — fastest
-        available), ``"python"`` (object oracle), ``"numpy"``
-        (structure-of-arrays flat wheel) or ``"numba"`` (its JIT, when
-        numba imports). All engines are ``==``-exact against the
-        oracle, so — like ``backend`` — the choice is execution-only
-        and excluded from content keys. Unknown or unavailable names
+        :mod:`repro.sim.cycle.engine`): ``"auto"`` (default — resolves
+        to ``"numpy"``), ``"numpy"`` (structure-of-arrays flat wheel)
+        or ``"python"`` (object oracle). Both engines are ``==``-exact
+        against each other, so — like ``backend`` — the choice is
+        execution-only and excluded from content keys. Unknown names
         fail at construction.
     seed:
         Master seed for all stochastic stages.
@@ -226,8 +219,11 @@ class SynthesisConfig:
         return self.jobs
 
     def __post_init__(self) -> None:
-        if self.total_power <= 0:
-            raise ConfigurationError("total_power must be positive")
+        if not math.isfinite(self.total_power) or self.total_power <= 0:
+            raise ConfigurationError(
+                f"total_power must be a positive finite number of "
+                f"watts, got {self.total_power!r}"
+            )
         # Resolve the device technology: the profile supplies hardware
         # params and any exploration domain the caller left unset, so a
         # config is always fully concrete after construction. An
@@ -296,7 +292,7 @@ class SynthesisConfig:
             raise ConfigurationError(
                 f"grid_eval must be a bool, got {self.grid_eval!r}"
             )
-        # Fail fast on unknown/unavailable backends (a mid-walk lookup
+        # Fail fast on unknown backends (a mid-walk lookup
         # error would waste the whole stage-1 filter pass).
         if not isinstance(self.backend, str):
             raise ConfigurationError(

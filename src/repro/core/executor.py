@@ -129,14 +129,13 @@ def params_fingerprint(params: HardwareParams) -> str:
 #: excluded from content keys so a request replayed with different
 #: execution knobs still maps to the same stored result.
 #: ``grid_eval`` and ``backend`` join the set in PR 6: the tensorized
-#: outer walk and every registered array backend are bit-identical to
+#: outer walk and both array backends are bit-identical to
 #: the per-task scalar walk by contract (pinned by the grid-eval
 #: differential and backend conformance suites), so neither can change
 #: a result — only how fast it is computed. PR 9 extends ``backend``'s
 #: reach to the batched population scoring (EA/NSGA/SA hot path)
-#: under the same contract: exact engines are ``==``-identical, GPU
-#: engines are tolerance-bounded with winners re-scored on the scalar
-#: oracle, so the stored result still cannot move.
+#: under the same ``==`` contract, so the stored result still cannot
+#: move.
 #: ``sa_proposal_batch`` is deliberately *not* here: rounds larger than
 #: one change the SA walk (see :class:`repro.optim.annealing.
 #: SimulatedAnnealer`), so it is result content.
@@ -959,26 +958,22 @@ class ExplorationEngine:
         """Pruning bounds for a whole queue, aligned with ``tasks``.
 
         Routes through the tensorized grid evaluator
-        (:mod:`repro.core.grid_eval`) when ``config.grid_eval`` is on
-        and numpy is present; otherwise the per-task scalar walk.
+        (:mod:`repro.core.grid_eval`) when ``config.grid_eval`` is on;
+        otherwise the per-task scalar walk.
         Grid and scalar bounds are bit-identical (the differential
         suite's pinned claim), so both paths order and prune the
         queue identically — the second return value is the backend
         array for vectorized masking, ``None`` on the scalar path.
         """
         if self.config.grid_eval:
-            from repro.core.grid_eval import (
-                GridBoundEvaluator,
-                grid_eval_supported,
-            )
+            from repro.core.grid_eval import GridBoundEvaluator
 
-            if grid_eval_supported():
-                if self._grid_evaluator is None:
-                    self._grid_evaluator = GridBoundEvaluator(
-                        self.model, self.config
-                    )
-                array = self._grid_evaluator.bounds_array(tasks)
-                return [float(value) for value in array], array
+            if self._grid_evaluator is None:
+                self._grid_evaluator = GridBoundEvaluator(
+                    self.model, self.config
+                )
+            array = self._grid_evaluator.bounds_array(tasks)
+            return [float(value) for value in array], array
         return (
             [self._local_runner.throughput_bound(t) for t in tasks],
             None,

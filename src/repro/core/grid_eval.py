@@ -36,26 +36,19 @@ replicate the scalar oracle's IEEE-754 float64 operation order (ordered
 layer-axis reductions, left-associated products, exact integer
 intermediates), so ``bounds(tasks)[i]`` is bit-identical — ``==``, not
 merely close — to ``_TaskRunner.throughput_bound(tasks[i])`` for every
-task and every registered backend. ``tests/test_grid_eval_differential``
+task on both backends. ``tests/test_grid_eval_differential``
 pins this across the model zoo; the executor's pruning decisions (exact
 float comparisons against the incumbent) therefore cannot differ
 between the tensorized and the per-task walk.
-
-The module degrades gracefully: :func:`grid_eval_supported` is False
-when numpy is unavailable, and the executor falls back to the scalar
-per-task walk (same solutions, slower), exactly like ``batch_eval``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.backend import (
-    ArrayBackend,
-    TaskGrid,
-    get_backend,
-    numpy_module,
-)
+import numpy as np
+
+from repro.core.backend import ArrayBackend, TaskGrid, get_backend
 from repro.core.config import SynthesisConfig
 from repro.hardware.crossbar import (
     crossbar_tiling_summary,
@@ -66,16 +59,6 @@ from repro.nn.workload import vector_op_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import EvaluationTask
-
-
-def grid_eval_supported() -> bool:
-    """Whether the tensorized task walk can run on this interpreter.
-
-    Grid assembly builds numpy arrays regardless of the backend that
-    consumes them, so numpy is the gate (the ``python`` backend still
-    *executes* without vector instructions, but reads the same arrays).
-    """
-    return numpy_module() is not None
 
 
 class GridBoundEvaluator:
@@ -94,12 +77,6 @@ class GridBoundEvaluator:
         config: SynthesisConfig,
         backend: Optional[ArrayBackend] = None,
     ) -> None:
-        np = numpy_module()
-        if np is None:
-            raise RuntimeError(
-                "grid evaluation requires numpy; gate on "
-                "grid_eval_supported() before constructing"
-            )
         self.model = model
         self.config = config
         self.params = config.params
@@ -153,7 +130,6 @@ class GridBoundEvaluator:
         key = (xb_size, res_rram)
         cached = self._tilings.get(key)
         if cached is None:
-            np = numpy_module()
             sets: List[int] = []
             row_tiles: List[int] = []
             bit_slices: List[int] = []
@@ -180,7 +156,6 @@ class GridBoundEvaluator:
         key = (xb_size, res_rram, res_dac)
         cached = self._adc_power.get(key)
         if cached is None:
-            np = numpy_module()
             adc_lo, adc_hi = self.params.adc_resolution_range
             cached = np.asarray([
                 self.params.adc_power_of(
@@ -219,7 +194,6 @@ class GridBoundEvaluator:
     # ------------------------------------------------------------------
     def build_grid(self, tasks: Sequence["EvaluationTask"]) -> TaskGrid:
         """Assemble the ``(tasks, layers)`` arrays for one queue."""
-        np = numpy_module()
         n_tasks = len(tasks)
         n_layers = self._num_layers
         wt_dup = np.empty((n_tasks, n_layers), dtype=np.int64)
@@ -287,7 +261,6 @@ class GridBoundEvaluator:
 
     def bounds_array(self, tasks: Sequence["EvaluationTask"]):
         """Per-task bounds as a float64 array (backend-computed)."""
-        np = numpy_module()
         if not tasks:
             return np.zeros(0, dtype=np.float64)
         return self.backend.compute_bounds(self.build_grid(tasks))

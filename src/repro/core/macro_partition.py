@@ -24,10 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, MutableMapping, Optional, Sequence, Tuple
 
-from repro.core.batch_eval import (
-    BatchPerformanceEvaluator,
-    numpy_available,
-)
+from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.component_alloc import (
     ComponentAllocation,
     allocate_components,
@@ -167,7 +164,7 @@ class MacroPartitionExplorer:
         self.cache_context = cache_context
         if batch_eval is None:
             batch_eval = config.batch_eval
-        self.batch_eval = bool(batch_eval) and numpy_available()
+        self.batch_eval = bool(batch_eval)
         self._batch_evaluator: Optional[BatchPerformanceEvaluator] = None
         self.last_report = None  # EvolutionReport of the latest explore()
         self.evaluator = PerformanceEvaluator(spec, budget)
@@ -214,7 +211,7 @@ class MacroPartitionExplorer:
         Numerically identical to calling :meth:`score` per gene (the
         batched engine replicates the scalar operation order); used by
         the EA as its generation-level ``batch_fitness`` hook. With
-        ``batch_eval`` off (or numpy unavailable) it degrades to the
+        ``batch_eval`` off it degrades to the
         scalar loop, so callers get the same values either way.
         """
         if not self.batch_eval:
@@ -262,7 +259,7 @@ class MacroPartitionExplorer:
         objective_vector` adapter the scalar path uses, so batched and
         scalar runs produce identical vectors — and therefore identical
         NSGA-II walks and fronts. Degrades to the scalar loop when
-        ``batch_eval`` is off or numpy is unavailable.
+        ``batch_eval`` is off.
         """
         if objectives is None:
             objectives = self.config.objectives

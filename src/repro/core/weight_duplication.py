@@ -23,9 +23,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-# Single numpy gate: the backend registry owns the import (and its
-# absence), so every tensorized path degrades identically.
-from repro.core.backend import numpy_module
+import numpy as np
+
+from repro.core.backend import get_backend
 from repro.core.config import SynthesisConfig
 from repro.errors import InfeasibleError
 from repro.hardware.crossbar import crossbar_set_size
@@ -112,9 +112,6 @@ class WeightDuplicationFilter:
         so each value is bit-identical to :meth:`energy` on that state
         — the SA walk cannot depend on which backend scored it.
         """
-        np = numpy_module()
-        if np is None:
-            return [self.energy(state) for state in states]
         dup = np.asarray(states, dtype=np.float64)
         steps = np.array(self.out_positions, dtype=np.float64) / dup
         volumes = dup * np.array(
@@ -134,9 +131,6 @@ class WeightDuplicationFilter:
         order, so every engine reproduces :func:`repro.utils.
         mathutils.stdev` bit-for-bit (the conformance suite pins the
         primitive itself)."""
-        from repro.core.backend import get_backend
-
-        np = numpy_module()
         backend = get_backend(self.config.backend)
         count = values.shape[1]
         acc = np.asarray(

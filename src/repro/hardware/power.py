@@ -12,6 +12,7 @@ tracks both sides so every stage draws from one consistent account.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, InfeasibleError
@@ -32,8 +33,8 @@ def crossbar_budget(
     signature because Eq. 3 names it and alternative technologies may
     price resolution.
     """
-    if total_power <= 0:
-        raise ConfigurationError("total power must be positive")
+    if not math.isfinite(total_power) or total_power <= 0:
+        raise ConfigurationError("total power must be positive and finite")
     if not 0.0 < ratio_rram < 1.0:
         raise ConfigurationError(
             f"RatioRram must lie in (0, 1), got {ratio_rram}"

@@ -32,9 +32,9 @@ Outputs:
 
 Everything is integer-cycle arithmetic after quantization, so a run is
 byte-deterministic for a fixed ``(solution, fault_rate, fault_seed)``
-— on *every* engine: the wheel runs on a registered
-:mod:`~repro.sim.cycle.engine` (object oracle, structure-of-arrays
-flat loop, or its numba JIT), all ``==``-exact by contract.
+— on either engine: the wheel runs on one of the two
+:mod:`~repro.sim.cycle.engine` engines (object oracle or
+structure-of-arrays flat wheel), ``==``-exact by contract.
 """
 
 from repro.sim.cycle.clock import CycleClock
@@ -46,9 +46,7 @@ from repro.sim.cycle.engine import (
     available_engines,
     engine_status,
     get_engine,
-    register_engine,
     resolve_engine_name,
-    unregister_engine,
 )
 from repro.sim.cycle.kernel import (
     LoweredProgram,
@@ -96,9 +94,7 @@ __all__ = [
     "available_engines",
     "engine_status",
     "get_engine",
-    "register_engine",
     "resolve_engine_name",
-    "unregister_engine",
     "LoweredProgram",
     "draw_attempts",
     "lower_arrays",

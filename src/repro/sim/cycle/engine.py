@@ -1,10 +1,7 @@
-"""Pluggable execution engines for the cycle simulator's event wheel.
-
-Mirrors :mod:`repro.core.backend`'s registry contract, specialized to
-the integer event wheel:
+"""The two execution engines of the cycle simulator's event wheel.
 
 - ``python`` — the object :class:`~repro.sim.cycle.machine.
-  CycleMachine`, kept as the oracle every other engine is pinned
+  CycleMachine`, kept as the oracle the other engine is pinned
   against;
 - ``numpy`` — the structure-of-arrays lowering of
   :mod:`repro.sim.cycle.kernel` with vectorized splitmix64 fault
@@ -13,19 +10,13 @@ the integer event wheel:
   sequential — each pop depends on the unit frontiers the previous
   commit left — so the vectorization lives in the lowering and the
   fault streams, and the per-event cost drops to a few integer list
-  reads);
-- ``numba`` — the *same* ``wheel_loops`` JIT-compiled with
-  ``numba.njit`` over the int64 array mirrors. ``fastmath`` stays off;
-  the kernel is integer-only, but the flag also licenses reassociation
-  and contraction patterns that would silently void the bit-identity
-  contract if a float ever enters the kernel.
+  reads). ``auto``, the default, resolves to ``numpy``.
 
-All engines return a :class:`~repro.sim.cycle.machine.MachineResult`
-that is ``==``-identical to the oracle's, field for field — start and
-finish cycles, retire order, per-cause stall attribution, per-layer
-busy accounting and fault draws. Unknown names and registered-but-
-unavailable engines raise :class:`~repro.errors.ConfigurationError`
-with the same actionable message shape ``repro backends`` uses, so
+Both engines return a :class:`~repro.sim.cycle.machine.MachineResult`
+that is ``==``-identical field for field — start and finish cycles,
+retire order, per-cause stall attribution, per-layer busy accounting
+and fault draws. Unknown names raise
+:class:`~repro.errors.ConfigurationError` naming the valid ones, so
 ``SynthesisConfig`` and ``repro simulate --engine`` fail fast.
 """
 
@@ -40,11 +31,9 @@ from repro.sim.cycle.kernel import (
     KLASS_NAMES,
     STALL_KINDS,
     LoweredProgram,
-    _np,
     draw_attempts,
     lower_arrays,
     wheel_heapq,
-    wheel_loops,
 )
 from repro.sim.cycle.machine import CycleMachine, MachineResult
 from repro.sim.cycle.uops import MicroProgram, lower_dag
@@ -55,7 +44,7 @@ class PreparedProgram:
     """One DAG's lowering context, shared across engines and replays.
 
     Materializes the object :class:`MicroProgram` (oracle path) and
-    the :class:`LoweredProgram` arrays (compiled paths) lazily and at
+    the :class:`LoweredProgram` tables (numpy path) lazily and at
     most once each, so a fault-rate sweep lowers once and replays
     many, and a single run never pays for the representation it does
     not use. Both lowerings derive the same clock from the same
@@ -131,14 +120,8 @@ class CycleEngine:
 
     #: Registry name (``--engine`` value).
     name: str = ""
-    #: One-line description for ``--help`` and status tables.
+    #: One-line description for status tables.
     description: str = ""
-
-    def available(self) -> bool:
-        return True
-
-    def unavailable_reason(self) -> Optional[str]:
-        return None
 
     def run(
         self,
@@ -150,7 +133,7 @@ class CycleEngine:
 
 
 class PythonEngine(CycleEngine):
-    """The object event wheel — the oracle (always available)."""
+    """The object event wheel — the oracle."""
 
     name = "python"
     description = "object event wheel (pure-python oracle)"
@@ -240,17 +223,6 @@ class NumpyEngine(CycleEngine):
         "structure-of-arrays wheel with vectorized fault pre-draws"
     )
 
-    def available(self) -> bool:
-        return _np is not None
-
-    def unavailable_reason(self) -> Optional[str]:
-        if self.available():
-            return None  # pragma: no cover - numpy present in CI
-        return (
-            "numpy is not importable on this interpreter "
-            "(install numpy to enable the array engines)"
-        )
-
     def run(
         self,
         prepared: PreparedProgram,
@@ -263,214 +235,54 @@ class NumpyEngine(CycleEngine):
         return _assemble_result(lowered, attempts, *outputs)
 
 
-class NumbaEngine(NumpyEngine):
-    """:func:`wheel_loops` JIT-compiled with ``numba.njit``.
-
-    ``fastmath`` stays off — the wheel is integer-exact and must stay
-    that way; the compiled function is cached on the class after the
-    first call (compilation is paid once per process).
-    """
-
-    name = "numba"
-    description = "numba-JIT flat-loop wheel (optional dependency)"
-    _compiled = None
-
-    def available(self) -> bool:
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return _np is not None
-
-    def unavailable_reason(self) -> Optional[str]:
-        if not self.available():
-            return (
-                "numba is not importable on this interpreter "
-                "(install numba to enable the JIT engine)"
-            )
-        return None  # pragma: no cover - numba present
-
-    def _kernel(self):  # pragma: no cover - needs numba installed
-        if NumbaEngine._compiled is None:
-            import numba
-
-            NumbaEngine._compiled = numba.njit(
-                cache=False, fastmath=False
-            )(wheel_loops)
-        return NumbaEngine._compiled
-
-    def run(  # pragma: no cover - needs numba installed
-        self,
-        prepared: PreparedProgram,
-        fault_rate: float = 0.0,
-        fault_seed: int = 0,
-    ) -> MachineResult:
-        lowered = prepared.lowered
-        attempts = draw_attempts(lowered, fault_rate, fault_seed)
-        tables = lowered.arrays()
-        n = lowered.n
-        i64 = _np.int64
-        zeros = _np.zeros
-        ready = zeros(n, i64)
-        first_pred = zeros(n, i64)
-        start = zeros(n, i64)
-        finish = zeros(n, i64)
-        heap_cycle = zeros(n, i64)
-        heap_uid = zeros(n, i64)
-        npreds_left = zeros(n, i64)
-        retire = zeros(n, i64)
-        slot_free = zeros(lowered.num_slots, i64)
-        busy_flat = zeros(lowered.num_layers * len(KLASS_NAMES), i64)
-        unit_busy = zeros(lowered.num_units, i64)
-        unit_touch = zeros(lowered.num_units, i64)
-        stalls = zeros(4, i64)
-        counters = zeros(4, i64)
-        code = self._kernel()(
-            n, tables["cycles"],
-            _np.asarray(attempts, dtype=i64), tables["npreds"],
-            npreds_left, tables["succ_off"], tables["succ"],
-            tables["unit_off"], tables["unit_ids"], tables["slot_off"],
-            slot_free, tables["first_unit_link"], tables["is_execute"],
-            tables["layer"], tables["klass_id"], len(KLASS_NAMES),
-            ready, first_pred, start, finish, heap_cycle, heap_uid,
-            retire, busy_flat, unit_busy, unit_touch, stalls, counters,
-        )
-        return _assemble_result(
-            lowered, attempts, start.tolist(), finish.tolist(),
-            retire.tolist(), busy_flat.tolist(), unit_busy.tolist(),
-            unit_touch.tolist(), stalls.tolist(), counters.tolist(),
-            int(code),
-        )
-
-
 # ----------------------------------------------------------------------
-# Registry (mirrors repro.core.backend)
+# Registry
 # ----------------------------------------------------------------------
-#: Names whose engines are defined by this module and cannot be
-#: replaced with different implementations.
-BUILTIN_ENGINES: Tuple[str, ...] = ("python", "numpy", "numba")
-
-#: The engine every simulator selects unless told otherwise: resolves
-#: to the fastest *available* engine (numba > numpy > python) at run
-#: time — safe because every engine is ``==``-exact by contract.
+#: The engine every simulator selects unless told otherwise; resolves
+#: to ``numpy`` (both engines are ``==``-exact, so only wall time moves).
 DEFAULT_ENGINE = "auto"
 
-#: Resolution order of the ``auto`` meta-engine.
-AUTO_ORDER: Tuple[str, ...] = ("numba", "numpy", "python")
+_REGISTRY: Dict[str, CycleEngine] = {
+    engine.name: engine for engine in (PythonEngine(), NumpyEngine())
+}
 
-_REGISTRY: Dict[str, CycleEngine] = {}
-
-
-def _ensure_builtins() -> None:
-    if not _REGISTRY:
-        for engine in (PythonEngine(), NumpyEngine(), NumbaEngine()):
-            _REGISTRY[engine.name] = engine
-
-
-def register_engine(
-    engine: CycleEngine, replace: bool = False
-) -> CycleEngine:
-    """Add an engine instance to the registry.
-
-    Re-registering an existing name requires ``replace=True``; the
-    built-in names can never be rebound to a different class —
-    re-registering an instance of the *same* class is a no-op success.
-    """
-    _ensure_builtins()
-    if not isinstance(engine, CycleEngine):
-        raise ConfigurationError(
-            f"expected a CycleEngine, got {type(engine).__name__}"
-        )
-    if not engine.name or not isinstance(engine.name, str):
-        raise ConfigurationError(
-            "cycle engine name must be a non-empty string"
-        )
-    if engine.name == "auto":
-        raise ConfigurationError(
-            "'auto' is the built-in meta-selector and cannot be "
-            "registered as an engine name"
-        )
-    existing = _REGISTRY.get(engine.name)
-    if engine.name in BUILTIN_ENGINES:
-        if type(existing) is not type(engine):
-            raise ConfigurationError(
-                f"the built-in {engine.name!r} cycle engine cannot be "
-                "replaced; register the engine under a new name"
-            )
-        return existing
-    if existing is not None and not replace:
-        raise ConfigurationError(
-            f"cycle engine {engine.name!r} is already registered "
-            "(pass replace=True to update it)"
-        )
-    _REGISTRY[engine.name] = engine
-    return engine
-
-
-def unregister_engine(name: str) -> None:
-    """Remove a user-registered engine (built-ins cannot be removed)."""
-    _ensure_builtins()
-    if name in BUILTIN_ENGINES:
-        raise ConfigurationError(
-            f"the built-in {name!r} cycle engine cannot be unregistered"
-        )
-    _REGISTRY.pop(name, None)
+#: Every concrete engine name, oracle first.
+BUILTIN_ENGINES: Tuple[str, ...] = tuple(_REGISTRY)
 
 
 def resolve_engine_name(name: str = DEFAULT_ENGINE) -> str:
-    """Collapse ``auto`` to the fastest available concrete engine."""
-    _ensure_builtins()
-    if name != "auto":
-        return name
-    for candidate in AUTO_ORDER:
-        if _REGISTRY[candidate].available():
-            return candidate
-    return "python"  # pragma: no cover - python is always available
+    """Collapse ``auto`` to the concrete engine it selects."""
+    return "numpy" if name == "auto" else name
 
 
 def get_engine(name: str = DEFAULT_ENGINE) -> CycleEngine:
-    """Look up an *available* engine by name (``auto`` resolves first).
+    """Look up an engine by name (``auto`` resolves first; instances
+    pass through).
 
-    Unknown names and registered-but-unavailable engines (e.g.
-    ``numba`` without numba installed) both raise
-    :class:`~repro.errors.ConfigurationError` with an actionable
-    message — configs fail fast at construction, not mid-replay.
+    Unknown names raise :class:`~repro.errors.ConfigurationError`
+    naming the valid ones — configs fail fast at construction, not
+    mid-replay.
     """
-    _ensure_builtins()
     if isinstance(name, CycleEngine):
         return name
     name = resolve_engine_name(name)
     try:
-        engine = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown cycle engine {name!r}; available: "
-            f"{available_engines()}"
+            f"{['auto'] + available_engines()}"
         ) from None
-    if not engine.available():
-        raise ConfigurationError(
-            f"cycle engine {name!r} is unavailable: "
-            f"{engine.unavailable_reason()}"
-        )
-    return engine
 
 
 def available_engines() -> List[str]:
-    """Registered engine names, built-ins first, extras sorted."""
-    _ensure_builtins()
-    extras = sorted(n for n in _REGISTRY if n not in BUILTIN_ENGINES)
-    return list(BUILTIN_ENGINES) + extras
+    """Every concrete engine name, oracle first."""
+    return list(BUILTIN_ENGINES)
 
 
 def engine_status() -> List[Tuple[str, bool, str]]:
-    """(name, available, description-or-reason) for every engine."""
-    _ensure_builtins()
-    rows = []
-    for name in available_engines():
-        engine = _REGISTRY[name]
-        ok = engine.available()
-        note = engine.description if ok else (
-            engine.unavailable_reason() or "unavailable"
-        )
-        rows.append((name, ok, note))
-    return rows
+    """(name, available, description) for every engine."""
+    return [
+        (name, True, engine.description)
+        for name, engine in _REGISTRY.items()
+    ]

@@ -8,10 +8,10 @@ windowed IR DAG, lowers it to stage-pipelined micro-ops, runs the
 integer event wheel on the configured engine, and assembles a
 :class:`~repro.sim.cycle.report.CycleSimReport`.
 
-The wheel itself runs on one of the registered engines
+The wheel itself runs on one of two engines
 (:mod:`repro.sim.cycle.engine`): the pure-Python object machine (the
-oracle), the structure-of-arrays flat loop, or its numba JIT — all
-``==``-exact, so engine choice only moves wall time. The DAG and both
+oracle) or the structure-of-arrays flat wheel (``numpy``, the
+default) — ``==``-exact, so engine choice only moves wall time. The DAG and both
 lowerings are cached on the simulator (:meth:`prepare`), so a
 fault-rate sweep lowers once and replays many (:meth:`replay`).
 
@@ -73,7 +73,7 @@ class CycleSimResult:
     @property
     def program(self) -> MicroProgram:
         """The object micro-program (materialized on demand — the
-        compiled engines run on the array lowering instead)."""
+        numpy engine runs on the array lowering instead)."""
         return self.prepared.program
 
 
@@ -103,7 +103,7 @@ class CycleSimulator:
             macro_groups=self.macro_groups,
             noc=self.noc,
         )
-        # Fail fast on unknown/unavailable engines, mirroring
+        # Fail fast on unknown engines, mirroring
         # SynthesisConfig's backend validation.
         get_engine(self.engine)
         self._prepared: Optional[PreparedProgram] = None

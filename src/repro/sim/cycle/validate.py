@@ -120,10 +120,9 @@ def cross_validate(
     ``solution`` is a :class:`~repro.core.solution.SynthesisSolution`.
     Returns the comparison report; call
     :meth:`CrossValidationReport.ensure` to turn disagreement into a
-    :class:`~repro.errors.SimulationError`. ``engine`` names a
-    registered cycle engine (default ``auto``: fastest available) —
-    every engine is ``==``-exact against the python oracle, so the
-    choice only moves wall time.
+    :class:`~repro.errors.SimulationError`. ``engine`` names a cycle
+    engine (default ``auto`` = ``numpy``) — both are ``==``-exact
+    against each other, so the choice only moves wall time.
     """
     if tol <= 0:
         raise SimulationError(f"tolerance must be positive, got {tol}")

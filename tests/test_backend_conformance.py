@@ -1,34 +1,17 @@
 """Per-backend conformance for the array-execution registry.
 
-Every registered :class:`~repro.core.backend.ArrayBackend` must return
-bit-identical values for the op-level primitives and the fused kernels
-(task-grid bounds *and* population scoring) — the ``python`` loop
-engine is the reference, since it executes the scalar oracle's
-operation order literally. The suite parametrizes over the registry, so
-a third-party backend registered before the run is held to the same
-contract, and a backend whose optional dependency is absent (``numba``
-without numba installed, ``cupy``/``torch`` without a GPU stack) is
-*skipped with its own stated reason* rather than silently ignored.
+Both backends (``numpy`` and ``python``) must return bit-identical
+values for the op-level primitives and the fused kernels (task-grid
+bounds *and* population scoring) — the ``python`` loop engine is the
+reference, since it executes the scalar oracle's operation order
+literally. Every output is compared with ``==``.
 
-Exact backends (``exact = True``: numpy / python / numba) are compared
-with ``==`` on every output. GPU backends (``exact = False``) are held
-to the documented tolerance contract: integer / geometry outputs
-(decode, hops, feasibility, bottleneck, macro counts) stay ``==``-
-exact, float kernel outputs may diverge by at most ``float_tolerance``
-relative error.
-
-The registry's validation behavior (tech.py's pattern) is pinned too:
-unknown names, rebinding built-ins, duplicate registration, and
-selecting an unavailable engine all raise ConfigurationError with
-actionable messages. An AST guard keeps ``batch_eval.py`` and
-``grid_eval.py`` free of direct numpy imports — all array access goes
-through ``core.backend``.
+The registry's lookup behavior is pinned too: unknown names raise
+ConfigurationError naming the backends that do exist.
 """
 
 from __future__ import annotations
 
-import ast
-import pathlib
 import random
 
 import pytest
@@ -36,33 +19,13 @@ import pytest
 from repro.core.backend import (
     BUILTIN_BACKENDS,
     DEFAULT_BACKEND,
-    ArrayBackend,
-    CupyBackend,
-    NumbaBackend,
     PythonBackend,
-    TorchBackend,
     available_backends,
     backend_status,
     get_backend,
-    numpy_available,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.config import SynthesisConfig
 from repro.errors import ConfigurationError
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(),
-    reason="TaskGrid assembly requires numpy",
-)
-
-
-def _backend_or_skip(name: str) -> ArrayBackend:
-    status = {n: (ok, note) for n, ok, note in backend_status()}
-    ok, note = status[name]
-    if not ok:
-        pytest.skip(f"backend {name!r} unavailable: {note}")
-    return get_backend(name)
 
 
 def _reference() -> PythonBackend:
@@ -106,7 +69,7 @@ class TestPrimitiveConformance:
 
     @pytest.mark.parametrize("name", available_backends())
     def test_ordered_sum_matches_reference(self, name):
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         terms = _random_matrix(7, 13, seed=1, scale=1e6)
         assert [float(v) for v in backend.ordered_sum(terms)] == \
             _reference().ordered_sum(terms)
@@ -115,7 +78,7 @@ class TestPrimitiveConformance:
     def test_ordered_sum_is_left_associated(self, name):
         """The accumulation order is the scalar oracle's, observable
         through a row engineered so pairwise summation differs."""
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         row = [1e16, 1.0, 1.0, 1.0, -1e16]
         expected = 0.0
         for value in row:
@@ -125,14 +88,14 @@ class TestPrimitiveConformance:
 
     @pytest.mark.parametrize("name", available_backends())
     def test_ordered_max_matches_reference(self, name):
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         terms = _random_matrix(9, 5, seed=2)
         assert [float(v) for v in backend.ordered_max(terms)] == \
             _reference().ordered_max(terms)
 
     @pytest.mark.parametrize("name", available_backends())
     def test_prune_mask_semantics(self, name):
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         bounds = [3.0, 2.0, 2.0, 1.0, 2.0]
         positions = [0, 1, 2, 3, 4]
         # Incumbent: fitness 2.0 at task index 2. Pruned: strictly
@@ -146,7 +109,7 @@ class TestPrimitiveConformance:
     def test_prune_mask_subset_positions(self, name):
         """positions indexes into the full bounds array (the executor
         passes the un-walked tail of its order), not a dense slice."""
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         bounds = [5.0, 1.0, 4.0, 2.0]
         mask = [bool(v) for v in backend.prune_mask(
             bounds, [3, 0], 2.0, 1
@@ -161,7 +124,7 @@ class TestKernelConformance:
     def test_compute_bounds_matches_scalar_oracle(
         self, name, lenet_grid
     ):
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         grid, scalar = lenet_grid
         values = [float(v) for v in backend.compute_bounds(grid)]
         assert values == scalar
@@ -170,7 +133,7 @@ class TestKernelConformance:
     def test_compute_bounds_cross_backend_identity(
         self, name, lenet_grid
     ):
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         grid, _ = lenet_grid
         reference = [
             float(v) for v in _reference().compute_bounds(grid)
@@ -225,10 +188,9 @@ def lenet_population():
     return evaluator.context, genes_arr, oracle
 
 
-#: PopulationScores fields that stay ``==``-exact on every backend,
-#: GPU included (the integer/geometry half of the tolerance contract).
+#: Integer / flag PopulationScores fields.
 EXACT_SCORE_FIELDS = ("feasible", "bottleneck_layer", "num_macros")
-#: Float kernel outputs — exact backends ``==``, GPU ≤ float_tolerance.
+#: Float kernel outputs.
 FLOAT_SCORE_FIELDS = (
     "fitness", "period", "latency", "throughput", "tops", "power",
     "tops_per_watt", "energy_per_image", "edp",
@@ -236,8 +198,7 @@ FLOAT_SCORE_FIELDS = (
 
 
 class TestBatchEvalPrimitiveConformance:
-    """decode_population / mesh_hops: integer-exact on every backend
-    (``==`` even for GPU engines — the geometry half of the contract)."""
+    """decode_population / mesh_hops: integer-exact on both backends."""
 
     @pytest.mark.parametrize("name", available_backends())
     def test_decode_population_matches_reference(
@@ -245,7 +206,7 @@ class TestBatchEvalPrimitiveConformance:
     ):
         import numpy as np
 
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         _, genes_arr, _ = lenet_population
         got = backend.decode_population(genes_arr)
         want = _reference().decode_population(genes_arr)
@@ -257,7 +218,7 @@ class TestBatchEvalPrimitiveConformance:
     def test_mesh_hops_matches_reference(self, name):
         import numpy as np
 
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         rng = random.Random(5)
         a = np.asarray(
             [rng.randrange(0, 64) for _ in range(128)], dtype=np.int64
@@ -275,7 +236,7 @@ class TestBatchEvalPrimitiveConformance:
         """Pinned against the closed form, not just the reference."""
         import numpy as np
 
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         a = np.asarray([0, 5, 7, 7], dtype=np.int64)
         b = np.asarray([7, 5, 0, 6], dtype=np.int64)
         got = [int(v) for v in np.asarray(backend.mesh_hops(a, b, 3))]
@@ -284,13 +245,13 @@ class TestBatchEvalPrimitiveConformance:
 
 class TestScorePopulationConformance:
     """The fused batch-eval kernel, per backend, against the python
-    oracle: ``==`` for exact engines, ≤ float_tolerance for GPU."""
+    oracle: ``==`` on every field."""
 
     @pytest.mark.parametrize("name", available_backends())
     def test_exact_fields_bit_identical(self, name, lenet_population):
         import numpy as np
 
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         ctx, genes_arr, oracle = lenet_population
         scores = backend.score_population(ctx, genes_arr)
         for field in EXACT_SCORE_FIELDS:
@@ -303,20 +264,13 @@ class TestScorePopulationConformance:
     def test_float_fields_within_contract(self, name, lenet_population):
         import numpy as np
 
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         ctx, genes_arr, oracle = lenet_population
         scores = backend.score_population(ctx, genes_arr)
         for field in FLOAT_SCORE_FIELDS:
             got = np.asarray(getattr(scores, field), dtype=np.float64)
             want = np.asarray(getattr(oracle, field), dtype=np.float64)
-            if backend.exact:
-                assert np.array_equal(got, want), field
-            else:
-                tol = backend.float_tolerance
-                denom = np.maximum(np.abs(want), 1.0)
-                assert np.all(
-                    np.abs(got - want) <= tol * denom
-                ), field
+            assert np.array_equal(got, want), field
 
     @pytest.mark.parametrize("name", available_backends())
     def test_population_has_feasible_and_infeasible_lanes(
@@ -326,7 +280,7 @@ class TestScorePopulationConformance:
         must come back fully masked on every backend."""
         import numpy as np
 
-        backend = _backend_or_skip(name)
+        backend = get_backend(name)
         ctx, genes_arr, _ = lenet_population
         scores = backend.score_population(ctx, genes_arr)
         feasible = np.asarray(scores.feasible)
@@ -342,77 +296,8 @@ class TestScorePopulationConformance:
             assert np.all(np.asarray(scores.num_macros)[masked] == 0)
 
 
-class TestGpuRegistry:
-    """GPU backends registered like technologies: always listed,
-    selectable only when their stack imports, tolerance documented."""
-
-    @pytest.mark.parametrize("name", ("cupy", "torch"))
-    def test_gpu_backends_always_listed(self, name):
-        assert name in available_backends()
-        status = {n: ok for n, ok, _ in backend_status()}
-        cls = {"cupy": CupyBackend, "torch": TorchBackend}[name]
-        assert status[name] is cls.available()
-
-    @pytest.mark.parametrize("cls", (CupyBackend, TorchBackend))
-    def test_gpu_tolerance_contract_documented(self, cls):
-        assert cls.exact is False
-        assert cls.float_tolerance == 1e-9
-
-    @pytest.mark.parametrize("name", ("cupy", "torch"))
-    def test_unavailable_gpu_selection_raises(self, name):
-        cls = {"cupy": CupyBackend, "torch": TorchBackend}[name]
-        if cls.available():
-            pytest.skip(f"{name} stack present; selection succeeds")
-        reason = cls.unavailable_reason()
-        assert reason  # listed rows must explain themselves
-        with pytest.raises(ConfigurationError, match="unavailable"):
-            get_backend(name)
-
-    def test_exact_backends_declare_exactness(self):
-        for name in ("numpy", "python", "numba"):
-            status = {n: ok for n, ok, _ in backend_status()}
-            if not status[name]:
-                continue
-            backend = get_backend(name)
-            assert backend.exact is True
-            assert backend.float_tolerance == 0.0
-
-
-class TestNoDirectNumpyImport:
-    """AST guard: the tensorized hot paths must reach numpy only
-    through ``core.backend`` (``numpy_module()`` / the backend object),
-    so one gate controls stubbing, monkeypatching, and availability
-    (the bare-``HardwareParams()`` guard pattern from test_tech.py)."""
-
-    GUARDED = ("core/batch_eval.py", "core/grid_eval.py")
-
-    @pytest.mark.parametrize("relpath", GUARDED)
-    def test_no_direct_numpy_import(self, relpath):
-        src_root = (
-            pathlib.Path(__file__).resolve().parent.parent
-            / "src" / "repro"
-        )
-        path = src_root / relpath
-        tree = ast.parse(path.read_text(), filename=str(path))
-        offenders = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in ("numpy", "cupy", "torch", "numba"):
-                        offenders.append((node.lineno, alias.name))
-            elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if root in ("numpy", "cupy", "torch", "numba"):
-                    offenders.append((node.lineno, node.module))
-        assert not offenders, (
-            f"{relpath} imports an array module directly "
-            f"(go through repro.core.backend): {offenders}"
-        )
-
-
 class TestRegistry:
-    """Registration / lookup validation (the tech.py contract)."""
+    """Lookup validation."""
 
     def test_builtins_listed_first(self):
         names = available_backends()
@@ -420,74 +305,31 @@ class TestRegistry:
         assert DEFAULT_BACKEND in names
 
     def test_unknown_name_raises_with_available_list(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            get_backend("cuda")
-        with pytest.raises(ConfigurationError, match="numpy"):
-            get_backend("cuda")  # the message names what *is* available
-
-    def test_unavailable_backend_raises_with_reason(self):
-        if NumbaBackend.available():
-            pytest.skip("numba installed here; nothing is unavailable")
         with pytest.raises(
-            ConfigurationError, match="numba.*unavailable|unavailable"
-        ):
-            get_backend("numba")
+            ConfigurationError, match="unknown backend"
+        ) as info:
+            get_backend("cuda")
+        # the message names what *is* available
+        assert "['numpy', 'python']" in str(info.value)
 
-    def test_numba_is_registered_even_when_absent(self):
-        """Absence gates *selection*, not listing — `repro backends`
-        must show the row with its reason."""
-        assert "numba" in available_backends()
-        status = {n: ok for n, ok, _ in backend_status()}
-        assert status["numba"] is NumbaBackend.available()
+    @pytest.mark.parametrize("name", ["numba", "cupy", "torch"])
+    def test_removed_backend_is_unknown(self, name):
+        with pytest.raises(
+            ConfigurationError, match="unknown backend"
+        ) as info:
+            get_backend(name)
+        assert "['numpy', 'python']" in str(info.value)
 
-    def test_builtin_cannot_be_rebound(self):
-        class Impostor(ArrayBackend):
-            name = "numpy"
+    def test_registry_is_numpy_and_python(self):
+        assert available_backends() == ["numpy", "python"]
+        assert BUILTIN_BACKENDS == ("numpy", "python")
 
-        with pytest.raises(ConfigurationError, match="built-in"):
-            register_backend(Impostor())
-
-    def test_builtin_same_class_reregistration_is_noop(self):
-        existing = get_backend("python")
-        assert register_backend(PythonBackend()) is existing
-
-    def test_builtin_cannot_be_unregistered(self):
-        with pytest.raises(ConfigurationError, match="built-in"):
-            unregister_backend("numpy")
-
-    def test_extra_backend_lifecycle(self):
-        class Echo(PythonBackend):
-            name = "echo"
-            description = "test double"
-
-        try:
-            register_backend(Echo())
-            assert "echo" in available_backends()
-            with pytest.raises(
-                ConfigurationError, match="already registered"
-            ):
-                register_backend(Echo())
-            replacement = Echo()
-            assert register_backend(replacement, replace=True) \
-                is replacement
-            # Extras are selectable through the same config path.
-            config = SynthesisConfig.fast(
-                total_power=2.0, backend="echo"
-            )
-            assert get_backend(config.backend) is replacement
-        finally:
-            unregister_backend("echo")
-        assert "echo" not in available_backends()
-
-    def test_rejects_non_backend_and_empty_name(self):
-        with pytest.raises(ConfigurationError, match="ArrayBackend"):
-            register_backend(object())  # type: ignore[arg-type]
-
-        class Nameless(PythonBackend):
-            name = ""
-
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_backend(Nameless())
+    @pytest.mark.parametrize("name", BUILTIN_BACKENDS)
+    def test_status_row_is_available(self, name):
+        rows = {row[0]: row[1:] for row in backend_status()}
+        ok, note = rows[name]
+        assert ok is True
+        assert note == get_backend(name).description
 
     def test_instance_passthrough(self):
         backend = get_backend("python")
@@ -500,6 +342,11 @@ class TestConfigIntegration:
     def test_unknown_backend_fails_fast(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             SynthesisConfig.fast(total_power=2.0, backend="cuda")
+
+    @pytest.mark.parametrize("name", ["numba", "cupy", "torch"])
+    def test_removed_backend_fails_fast(self, name):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            SynthesisConfig.fast(total_power=2.0, backend=name)
 
     def test_non_string_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="backend"):
@@ -532,3 +379,17 @@ class TestCli:
 
         assert main(["backends", "--check", "cuda"]) == 1
         assert "unknown backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["numba", "cupy", "torch"])
+    def test_backends_check_removed_fails(self, capsys, name):
+        from repro.cli import main
+
+        assert main(["backends", "--check", name]) == 1
+        assert "unknown backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", BUILTIN_BACKENDS)
+    def test_backends_check_builtin_passes(self, capsys, name):
+        from repro.cli import main
+
+        assert main(["backends", "--check", name]) == 0
+        assert "available" in capsys.readouterr().out

@@ -2,14 +2,12 @@
 
 The tentpole claim of the batch-eval backend seam: ``backend`` is an
 *execution* knob — it selects how populations are scored (vectorized
-numpy, pure-python loops, numba JIT, GPU), never what they score. This
-suite pins that in four layers:
+numpy or pure-python loops), never what they score. This suite pins
+that in four layers:
 
 1. Population-level: every zoo model x the power grid, the full
-   :class:`BatchEvaluation` of a rule-valid population is identical
-   across backends — ``==`` for exact engines (numpy / python / numba),
-   the documented tolerance contract for GPU engines (integer fields
-   still ``==``).
+   :class:`BatchEvaluation` of a rule-valid population is ``==``-
+   identical across backends.
 2. Full synthesis: the (backend x jobs x batch_eval) matrix returns one
    winning solution with identical telemetry (EA runs, pruning
    decisions, cache hits).
@@ -17,10 +15,7 @@ suite pins that in four layers:
    ``backend`` nor ``batch_eval`` perturbs a config fingerprint or a
    serve job key (execution-only fields).
 4. Goldens: the committed pareto-front golden is reproduced by every
-   available exact backend, byte-identically across backends.
-
-Backends whose optional dependency is missing are skipped with their
-stated reason (the conformance suite covers their registry behavior).
+   backend, byte-identically across backends.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import random
 import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
-from repro.core.backend import backend_status, get_backend, numpy_available
+from repro.core.backend import backend_status
 from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.dataflow import make_spec
 from repro.core.executor import config_fingerprint, params_fingerprint
@@ -41,14 +36,9 @@ from repro.hardware.power import PowerBudget
 from repro.nn import lenet5, zoo
 from repro.serve.job import job_content_key
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="batched evaluation requires numpy"
-)
-
 POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
 
-#: All registered backends that can execute here. Exact ones are held
-#: to ``==``; non-exact (GPU) ones to their float_tolerance.
+#: Every backend; all are held to ``==``.
 AVAILABLE_BACKENDS = tuple(
     name for name, ok, _ in backend_status() if ok
 )
@@ -111,7 +101,6 @@ def _evaluator(explorer, backend):
 def _assert_batches_match(reference, candidate, backend_name):
     import numpy as np
 
-    backend = get_backend(backend_name)
     for field in EXACT_FIELDS:
         assert np.array_equal(
             np.asarray(getattr(candidate, field)),
@@ -120,18 +109,12 @@ def _assert_batches_match(reference, candidate, backend_name):
     for field in FLOAT_FIELDS:
         want = np.asarray(getattr(reference, field), dtype=np.float64)
         got = np.asarray(getattr(candidate, field), dtype=np.float64)
-        if backend.exact:
-            assert np.array_equal(got, want), f"{backend_name}:{field}"
-        else:
-            denom = np.maximum(np.abs(want), 1.0)
-            assert np.all(
-                np.abs(got - want) <= backend.float_tolerance * denom
-            ), f"{backend_name}:{field}"
+        assert np.array_equal(got, want), f"{backend_name}:{field}"
 
 
 class TestZooPopulationIdentity:
     """Every zoo model x power grid: batched scores agree across every
-    available backend (numpy is the comparison baseline; python's
+    backend (numpy is the comparison baseline; python's
     oracle status vs the scalar path is pinned by
     test_batch_eval_differential.py)."""
 
@@ -154,11 +137,6 @@ class TestZooPopulationIdentity:
     def test_empty_and_malformed_populations(self, backend):
         from repro.errors import ConfigurationError
 
-        status = dict(
-            (n, ok) for n, ok, _ in backend_status()
-        )
-        if not status[backend]:
-            pytest.skip(f"backend {backend!r} unavailable")
         explorer = _explorer(zoo.by_name("lenet5"), 2.0)
         evaluator = _evaluator(explorer, backend)
         assert len(evaluator.evaluate_population([])) == 0
@@ -251,8 +229,8 @@ class TestContentKeyPins:
 
 
 class TestGoldensPerBackend:
-    """The committed pareto-front golden reproduces on every available
-    exact backend, byte-identically across backends."""
+    """The committed pareto-front golden reproduces on every backend,
+    byte-identically across backends."""
 
     @pytest.fixture(scope="class")
     def golden_payload(self):
@@ -267,11 +245,6 @@ class TestGoldensPerBackend:
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     def test_pareto_golden_reproduced(self, backend, golden_payload):
-        if not get_backend(backend).exact:
-            pytest.skip(
-                "GPU backends are held to the tolerance contract, "
-                "not byte-identity, on float artifacts"
-            )
         from repro.core.design_space import DesignSpace
 
         model = zoo.by_name(golden_payload["model"])

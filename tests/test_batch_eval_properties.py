@@ -10,11 +10,10 @@ samples):
 - genes already in the evaluation memo are never re-evaluated by the
   EA's batched path.
 
-The per-backend classes hold every *available* registered backend to
-the same properties through the new primitives (``decode_population``,
+The per-backend classes hold both backends to the same properties
+through the new primitives (``decode_population``,
 ``score_population``): permutation invariance, batch-of-one vs the
-scalar oracle (``==`` for exact backends, the documented tolerance for
-GPU engines), and memo hit/miss identity — the EA's cache interaction
+scalar oracle (``==``), and memo hit/miss identity — the EA's cache interaction
 is byte-for-byte the same whichever backend scores the misses.
 """
 
@@ -61,8 +60,7 @@ def _make_explorer(sharing=True):
 EXPLORER = _make_explorer()
 CAPS = list(EXPLORER.caps)
 
-#: Backends that can execute here; unavailable ones are covered by the
-#: conformance suite's skip/raise tests.
+#: Every backend.
 AVAILABLE_BACKENDS = tuple(
     name for name, ok, _ in backend_status() if ok
 )
@@ -80,16 +78,6 @@ def _backend_evaluator(name):
             backend=name,
         )
     return _EVALUATORS[name]
-
-
-def _fitness_matches(backend_name, got, want):
-    """``==`` for exact backends, relative tolerance for GPU ones."""
-    backend = get_backend(backend_name)
-    if backend.exact:
-        return got == want
-    return abs(got - want) <= backend.float_tolerance * max(
-        abs(want), 1.0
-    )
 
 
 @st.composite
@@ -201,7 +189,7 @@ class TestBatchInvariants:
 
 
 class TestBackendPrimitiveProperties:
-    """The new ArrayBackend primitives, per available backend."""
+    """The new ArrayBackend primitives, per backend."""
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     @given(genes=populations(), seed=st.integers(0, 2**16))
@@ -253,20 +241,14 @@ class TestBackendPrimitiveProperties:
     @settings(max_examples=10, deadline=None)
     def test_batch_of_one_equals_scalar_oracle(self, backend, gene):
         """Single-gene batches reproduce the scalar ``score()`` on
-        every backend (tolerance contract for non-exact engines)."""
+        every backend (``==``)."""
         batch = _backend_evaluator(backend).evaluate_population([gene])
         fitness, allocation, result = EXPLORER.score(gene)
         assert bool(batch.feasible[0]) == (allocation is not None)
-        assert _fitness_matches(
-            backend, float(batch.fitness[0]), fitness
-        )
+        assert float(batch.fitness[0]) == fitness
         if result is not None:
-            assert _fitness_matches(
-                backend, float(batch.period[0]), result.period
-            )
-            assert _fitness_matches(
-                backend, float(batch.power[0]), result.power
-            )
+            assert float(batch.period[0]) == result.period
+            assert float(batch.power[0]) == result.power
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     @given(genes=populations())
@@ -304,14 +286,8 @@ class TestBackendPrimitiveProperties:
         got_eval, got_cache, got_values = results[backend]
         assert got_eval == base_eval  # identical miss sets, in order
         assert set(got_cache) == set(base_cache)
-        if get_backend(backend).exact:
-            assert got_cache == base_cache
-            assert got_values == base_values
-        else:
-            for g in base_cache:
-                assert _fitness_matches(
-                    backend, got_cache[g], base_cache[g]
-                )
+        assert got_cache == base_cache
+        assert got_values == base_values
 
 
 class TestEngineEquivalence:

@@ -76,6 +76,16 @@ class TestSynthesizeCommand:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--power", "nan"], ["--power", "inf"],
+        ["--margin", "nan"], ["--margin", "inf"],
+    ], ids=lambda flags: "=".join(flags).lstrip("-"))
+    def test_non_finite_power_is_an_error(self, capsys, flags):
+        assert main(["synthesize", "--model", "lenet5", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
     def test_unknown_model_is_an_error(self, capsys):
         assert main([
             "synthesize", "--model", "nope", "--power", "2.0",

@@ -1,6 +1,6 @@
-"""Engine registry + compiled-wheel exactness suite.
+"""Engine registry + flat-wheel exactness suite.
 
-Every registered cycle engine must reproduce the python oracle
+The ``numpy`` cycle engine must reproduce the python oracle
 ``==``-exactly — start/finish cycles, retire order, per-cause stall
 attribution, fault draws, busy accounting, and the byte-identical
 report JSON. This module pins that contract zoo-wide, pins the
@@ -26,18 +26,14 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.nn import zoo
 from repro.sim.cycle import (
     BUILTIN_ENGINES,
-    CycleEngine,
     CycleSimulator,
-    available_engines,
     clear_route_cache,
     engine_status,
     get_engine,
     lower_arrays,
     program_to_arrays,
-    register_engine,
     resolve_engine_name,
     route_cache_stats,
-    unregister_engine,
 )
 from repro.sim.cycle.kernel import (
     KLASS_NAMES,
@@ -289,80 +285,35 @@ class TestRouteCache:
 # ----------------------------------------------------------------------
 # Registry contract (mirrors the backend registry's behavior)
 # ----------------------------------------------------------------------
-class _FakeEngine(CycleEngine):
-    name = "fake-wheel"
-    description = "test double"
-
-    def run(self, prepared, fault_rate=0.0, fault_seed=0):
-        raise NotImplementedError
-
-
-class _BrokenEngine(CycleEngine):
-    name = "broken-wheel"
-    description = "test double (never available)"
-
-    def available(self):
-        return False
-
-    def unavailable_reason(self):
-        return "always offline (test double)"
-
-
 class TestEngineRegistry:
     def test_unknown_engine_is_actionable(self):
         with pytest.raises(
             ConfigurationError, match=r"unknown cycle engine"
-        ):
+        ) as info:
             get_engine("no-such-wheel")
+        # the message names the engines that do exist
+        assert "['auto', 'python', 'numpy']" in str(info.value)
 
-    def test_unavailable_engine_is_actionable(self):
-        register_engine(_BrokenEngine())
-        try:
-            with pytest.raises(
-                ConfigurationError,
-                match=r"unavailable: always offline",
-            ):
-                get_engine("broken-wheel")
-        finally:
-            unregister_engine("broken-wheel")
+    @pytest.mark.parametrize("name", ["numba", "torch"])
+    def test_removed_engine_is_unknown(self, name):
+        with pytest.raises(
+            ConfigurationError, match=r"unknown cycle engine"
+        ) as info:
+            get_engine(name)
+        assert "['auto', 'python', 'numpy']" in str(info.value)
+
+    def test_auto_resolves_to_numpy(self):
+        assert resolve_engine_name("auto") == "numpy"
+        assert resolve_engine_name() == "numpy"
+        assert BUILTIN_ENGINES == ("python", "numpy")
+
+    def test_every_engine_is_available(self):
+        assert all(ok for _name, ok, _note in engine_status())
 
     def test_auto_resolves_to_an_available_builtin(self):
         name = resolve_engine_name("auto")
         assert name in BUILTIN_ENGINES
-        assert get_engine(name).available()
-
-    def test_builtins_cannot_be_replaced_or_removed(self):
-        class Impostor(CycleEngine):
-            name = "python"
-
-        with pytest.raises(
-            ConfigurationError, match=r"cannot be replaced"
-        ):
-            register_engine(Impostor())
-        with pytest.raises(
-            ConfigurationError, match=r"cannot be unregistered"
-        ):
-            unregister_engine("python")
-
-    def test_auto_name_is_reserved(self):
-        class Auto(CycleEngine):
-            name = "auto"
-
-        with pytest.raises(ConfigurationError, match=r"'auto'"):
-            register_engine(Auto())
-
-    def test_custom_engine_roundtrip(self):
-        register_engine(_FakeEngine())
-        try:
-            assert "fake-wheel" in available_engines()
-            with pytest.raises(
-                ConfigurationError, match=r"already registered"
-            ):
-                register_engine(_FakeEngine())
-            register_engine(_FakeEngine(), replace=True)
-        finally:
-            unregister_engine("fake-wheel")
-        assert "fake-wheel" not in available_engines()
+        assert get_engine("auto") is get_engine("numpy")
 
     def test_status_covers_all_builtins(self):
         rows = {name: (ok, note) for name, ok, note in engine_status()}
@@ -377,6 +328,12 @@ class TestEngineRegistry:
             ConfigurationError, match=r"unknown cycle engine"
         ):
             SynthesisConfig.fast(sim_engine="no-such-wheel")
+
+    def test_config_rejects_removed_sim_engine(self):
+        with pytest.raises(
+            ConfigurationError, match=r"unknown cycle engine 'numba'"
+        ):
+            SynthesisConfig.fast(sim_engine="numba")
 
     def test_sim_engine_is_execution_only(self):
         base = SynthesisConfig.fast(total_power=2.0)

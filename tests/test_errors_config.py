@@ -42,6 +42,15 @@ class TestSynthesisConfigValidation:
         with pytest.raises(ConfigurationError):
             SynthesisConfig(total_power=0.0)
 
+    @pytest.mark.parametrize("power", [
+        float("nan"), float("inf"), float("-inf"), -1.0,
+    ])
+    def test_non_finite_or_negative_power_rejected(self, power):
+        # NaN slips past a bare ``<= 0`` check; inf overflows the
+        # power model later. Both must fail at construction.
+        with pytest.raises(ConfigurationError, match="finite"):
+            SynthesisConfig(total_power=power)
+
     def test_bad_ratio_rejected(self):
         with pytest.raises(ConfigurationError):
             SynthesisConfig(ratio_rram_choices=(1.5,))

@@ -8,7 +8,7 @@ batch-eval suite's, but stronger: the grid bounds are **bit-identical**
 once per task — pruning rides on exact float comparisons, so anything
 less would let the tensorized walk change which tasks run. This suite
 pins that claim across the model zoo and a power grid spanning
-infeasible, tight and generous regimes, for every available backend —
+infeasible, tight and generous regimes, for both backends —
 and then end to end: full synthesis must select the identical solution
 with ``grid_eval`` on or off, serial or pooled, pruned or not.
 """
@@ -21,19 +21,13 @@ from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import backend_status, get_backend
 from repro.core.design_space import DesignSpace
 from repro.core.executor import ExplorationEngine
-from repro.core.grid_eval import GridBoundEvaluator, grid_eval_supported
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.synthesizer import SynthesisReport
 from repro.nn import zoo
 
-pytestmark = pytest.mark.skipif(
-    not grid_eval_supported(), reason="grid evaluation requires numpy"
-)
-
 POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
 
-#: Backends that can execute here (numpy + python always; numba when
-#: the container has it). Unavailable ones are covered by the
-#: conformance suite's skip/raise tests.
+#: Every backend (numpy and python).
 AVAILABLE_BACKENDS = tuple(
     name for name, ok, _ in backend_status() if ok
 )

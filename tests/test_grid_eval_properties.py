@@ -16,21 +16,15 @@ ones the differential suite samples):
 
 from __future__ import annotations
 
-import pytest
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import get_backend
 from repro.core.design_space import DesignSpace
 from repro.core.executor import ExplorationEngine
-from repro.core.grid_eval import GridBoundEvaluator, grid_eval_supported
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.synthesizer import SynthesisReport
 from repro.nn import lenet5
-
-pytestmark = pytest.mark.skipif(
-    not grid_eval_supported(), reason="grid evaluation requires numpy"
-)
 
 
 def _fixture():
@@ -58,14 +52,9 @@ def _fixture():
     return model, config, engine, evaluator, tasks, bounds, outcomes
 
 
-if grid_eval_supported():
-    MODEL, CONFIG, ENGINE, EVALUATOR, TASKS, BOUNDS, OUTCOMES = \
-        _fixture()
-    FEASIBLE = [o for o in OUTCOMES if o.feasible]
-    assert FEASIBLE
-else:  # pragma: no cover - placeholders keep strategies importable
-    MODEL = lenet5()
-    TASKS, BOUNDS, OUTCOMES = [None], [0.0], []
+MODEL, CONFIG, ENGINE, EVALUATOR, TASKS, BOUNDS, OUTCOMES = _fixture()
+FEASIBLE = [o for o in OUTCOMES if o.feasible]
+assert FEASIBLE
 
 
 class TestGridInvariants:

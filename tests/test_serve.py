@@ -114,6 +114,14 @@ class TestJobContentKey:
         with pytest.raises(ModelError):
             JobRequest(model="nope", total_power=2.0).content_key()
 
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    def test_non_finite_power_rejected_at_submission(self, power):
+        request = JobRequest.from_payload(
+            {"model": "lenet5", "power": power}
+        )
+        with pytest.raises(ConfigurationError, match="finite"):
+            request.content_key()
+
     def test_from_payload_validation(self):
         with pytest.raises(ConfigurationError):
             JobRequest.from_payload({"power": 2.0})  # no model
