@@ -18,8 +18,8 @@ hand their arrays to an :class:`ArrayBackend`, selected by name through
 Exactness contract
 ------------------
 Both backends return bit-identical results (``==``, not merely close)
-for the op-level primitives (``ordered_sum``, ``ordered_max``,
-``prune_mask``, and the integer ``decode_population`` / ``mesh_hops``)
+for the op-level primitives (``prune_mask`` and the integer
+``decode_population`` / ``mesh_hops``)
 and the fused kernels (:meth:`ArrayBackend.compute_bounds`,
 :meth:`ArrayBackend.score_population`): the DSE pruning decisions and
 EA tournaments ride on exact float comparisons, and the whole point of
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -598,18 +598,6 @@ class ArrayBackend:
     description: str = ""
 
     # -- op-level primitives (conformance-tested per backend) ----------
-    def ordered_sum(self, terms) -> "object":
-        """Left-to-right sum over axis 1 of a ``(T, L)`` array.
-
-        Matches the scalar oracle's ordered Python ``sum`` — *not*
-        numpy's pairwise ``np.sum``, which can differ in the last ulp.
-        """
-        raise NotImplementedError
-
-    def ordered_max(self, terms) -> "object":
-        """Maximum over axis 1 of a ``(T, L)`` array."""
-        raise NotImplementedError
-
     def prune_mask(
         self, bounds, positions, incumbent_fitness: float,
         incumbent_index: int,
@@ -679,6 +667,9 @@ def _decode(genes):
 
 
 def _ordered_sum(terms):
+    """Left-to-right sum over axis 1 of a ``(T, L)`` array: the scalar
+    oracle's ordered Python ``sum``, *not* numpy's pairwise ``np.sum``,
+    which can differ in the last ulp."""
     acc = np.zeros(terms.shape[0], dtype=np.float64)
     for l in range(terms.shape[1]):  # layer order == scalar order
         acc = acc + terms[:, l]
@@ -699,12 +690,6 @@ class NumpyBackend(ArrayBackend):
     description = "vectorized numpy engine (default)"
 
     # -- op-level primitives -------------------------------------------
-    def ordered_sum(self, terms):
-        return _ordered_sum(np.asarray(terms, dtype=np.float64))
-
-    def ordered_max(self, terms):
-        return _ordered_max(np.asarray(terms, dtype=np.float64))
-
     def prune_mask(
         self, bounds, positions, incumbent_fitness, incumbent_index
     ):
@@ -1095,30 +1080,6 @@ class PythonBackend(ArrayBackend):
 
     name = "python"
     description = "pure-Python loop engine (reference)"
-
-    @staticmethod
-    def _rows(terms) -> List[Sequence[float]]:
-        return [list(row) for row in terms]
-
-    def ordered_sum(self, terms):
-        out = []
-        for row in self._rows(terms):
-            acc = 0.0
-            for value in row:
-                acc = acc + float(value)
-            out.append(acc)
-        return out
-
-    def ordered_max(self, terms):
-        out = []
-        for row in self._rows(terms):
-            acc = float(row[0])
-            for value in row[1:]:
-                value = float(value)
-                if value > acc:
-                    acc = value
-            out.append(acc)
-        return out
 
     def prune_mask(
         self, bounds, positions, incumbent_fitness, incumbent_index

@@ -19,19 +19,16 @@ duplication vectors, which Alg. 1 then traverses exactly (line 7).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.backend import get_backend
 from repro.core.config import SynthesisConfig
-from repro.errors import InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.hardware.crossbar import crossbar_set_size
 from repro.nn.model import CNNModel
 from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer
-from repro.utils.mathutils import stdev
 
 WtDup = Tuple[int, ...]
 
@@ -79,12 +76,21 @@ class WeightDuplicationFilter:
     # ------------------------------------------------------------------
     # Eq. 2 feasibility
     # ------------------------------------------------------------------
+    def _check_length(self, wt_dup: Sequence[int]) -> None:
+        if len(wt_dup) != len(self.set_sizes):
+            raise ConfigurationError(
+                f"{self.model.name}: WtDup has {len(wt_dup)} entries, "
+                f"expected {len(self.set_sizes)} (one per weighted layer)"
+            )
+
     def crossbars_used(self, wt_dup: Sequence[int]) -> int:
+        self._check_length(wt_dup)
         return sum(
             dup * size for dup, size in zip(wt_dup, self.set_sizes)
         )
 
     def is_feasible(self, wt_dup: Sequence[int]) -> bool:
+        self._check_length(wt_dup)
         if any(d < 1 for d in wt_dup):
             return False
         if any(d > cap for d, cap in zip(wt_dup, self.dup_caps)):
@@ -95,53 +101,39 @@ class WeightDuplicationFilter:
     # Eq. 4 energy
     # ------------------------------------------------------------------
     def energy(self, wt_dup: Sequence[int]) -> float:
-        steps = [
-            positions / dup
-            for positions, dup in zip(self.out_positions, wt_dup)
-        ]
-        volumes = [
-            dup * unit for dup, unit in zip(wt_dup, self.volume_units)
-        ]
-        return stdev(steps) + self.config.sa_alpha * stdev(volumes)
+        return self._energies((wt_dup,))[0]
 
     def batch_energy(self, states: Sequence[Sequence[int]]) -> List[float]:
-        """Eq. 4 for a whole proposal round, vectorized over states.
+        """Eq. 4 for a whole proposal round (one value per state)."""
+        return self._energies(states)
 
-        Cross-layer reductions accumulate in layer order (the same
-        left-to-right sums :func:`repro.utils.mathutils.stdev` runs),
-        so each value is bit-identical to :meth:`energy` on that state
-        — the SA walk cannot depend on which backend scored it.
+    def _energies(self, states: Sequence[Sequence[int]]) -> List[float]:
+        """The one Eq. 4 implementation behind :meth:`energy` and
+        :meth:`batch_energy`.
+
+        Both stdev terms run :func:`repro.utils.mathutils.stdev`'s
+        operations in its order (left-to-right ``sum``, ``sum / n``,
+        ``(x - mu) ** 2``, ``sqrt(sum / n)``) with the volumes kept as
+        Python ints, so every value is bit-identical to ``stdev``.
         """
-        dup = np.asarray(states, dtype=np.float64)
-        steps = np.array(self.out_positions, dtype=np.float64) / dup
-        volumes = dup * np.array(
-            self.volume_units, dtype=np.float64
-        )
-        energies = self._batch_stdev(steps)
-        energies = energies + self.config.sa_alpha * self._batch_stdev(
-            volumes
-        )
-        return [float(e) for e in energies]
-
-    def _batch_stdev(self, values):
-        """Population stdev over the layer axis, ordered like ``stdev``.
-
-        The two cross-layer reductions run through the configured
-        backend's ``ordered_sum`` primitive — left-to-right layer
-        order, so every engine reproduces :func:`repro.utils.
-        mathutils.stdev` bit-for-bit (the conformance suite pins the
-        primitive itself)."""
-        backend = get_backend(self.config.backend)
-        count = values.shape[1]
-        acc = np.asarray(
-            backend.ordered_sum(values), dtype=np.float64
-        )
-        mu = acc / count
-        spread = np.asarray(
-            backend.ordered_sum((values - mu[:, None]) ** 2),
-            dtype=np.float64,
-        )
-        return np.sqrt(spread / count)
+        positions = self.out_positions
+        units = self.volume_units
+        alpha = self.config.sa_alpha
+        count = len(positions)
+        values = []
+        for state in states:
+            steps = [p / d for p, d in zip(positions, state)]
+            mu = sum(steps) / count
+            step_spread = math.sqrt(
+                sum((x - mu) ** 2 for x in steps) / count
+            )
+            volumes = [d * u for d, u in zip(state, units)]
+            mu = sum(volumes) / count
+            volume_spread = math.sqrt(
+                sum((x - mu) ** 2 for x in volumes) / count
+            )
+            values.append(step_spread + alpha * volume_spread)
+        return values
 
     # ------------------------------------------------------------------
     # Initial state: greedy balanced fill
@@ -177,26 +169,55 @@ class WeightDuplicationFilter:
 
         Retries a few times to find a feasible move; falls back to the
         unchanged state when the budget is completely tight.
+
+        Each retry costs O(1): the state's crossbar slack and its
+        out-of-bounds layers are found once, and a move is feasible iff
+        the one or two layers it touches stay in ``[1, cap]``, its
+        ``set_sizes`` delta fits the slack, and it touches every
+        out-of-bounds layer — exactly :meth:`is_feasible` on the moved
+        state, so the walk and its RNG draws are unchanged.
         """
+        self._check_length(state)
+        sizes = self.set_sizes
+        caps = self.dup_caps
+        slack = self.num_crossbars
+        out_of_bounds = []
+        for index, (dup, size, cap) in enumerate(zip(state, sizes, caps)):
+            slack -= dup * size
+            if dup < 1 or dup > cap:
+                out_of_bounds.append(index)
         n_layers = len(state)
         for _ in range(16):
             move = rng.randrange(3)
-            candidate = list(state)
-            if move == 0:  # grow one layer
-                index = rng.randrange(n_layers)
-                candidate[index] += 1
-            elif move == 1:  # shrink one layer
-                index = rng.randrange(n_layers)
-                candidate[index] -= 1
-            else:  # shift: shrink one, grow another
+            if move == 2:  # shift: shrink one, grow another
                 src = rng.randrange(n_layers)
                 dst = rng.randrange(n_layers)
                 if src == dst:
                     continue
-                candidate[src] -= 1
-                candidate[dst] += 1
-            if self.is_feasible(candidate):
-                return tuple(candidate)
+                if (
+                    1 <= state[src] - 1 <= caps[src]
+                    and 1 <= state[dst] + 1 <= caps[dst]
+                    and sizes[dst] - sizes[src] <= slack
+                    and (not out_of_bounds
+                         or all(i in (src, dst) for i in out_of_bounds))
+                ):
+                    candidate = list(state)
+                    candidate[src] -= 1
+                    candidate[dst] += 1
+                    return tuple(candidate)
+            else:  # grow (move 0) or shrink (move 1) one layer
+                index = rng.randrange(n_layers)
+                step = 1 if move == 0 else -1
+                dup = state[index] + step
+                if (
+                    1 <= dup <= caps[index]
+                    and step * sizes[index] <= slack
+                    and (not out_of_bounds
+                         or all(i == index for i in out_of_bounds))
+                ):
+                    candidate = list(state)
+                    candidate[index] = dup
+                    return tuple(candidate)
         return state
 
     # ------------------------------------------------------------------

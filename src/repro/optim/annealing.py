@@ -8,10 +8,10 @@ anywhere along the walk.
 
 Neighbor proposals can be drawn and scored in *rounds*
 (``proposal_batch``), with the round's energies supplied by a single
-``batch_energy`` call — the hook the WtDup filter uses to run Eq. 4 as
-vectorized numpy instead of one Python evaluation per proposal. A
-``proposal_batch`` of 1 is exactly the classic chain; see the class
-docstring for the larger-round semantics.
+``batch_energy`` call — the hook the WtDup filter uses to score a
+round's Eq. 4 values in one call. A ``proposal_batch`` of 1 is exactly
+the classic chain; see the class docstring for the larger-round
+semantics.
 """
 
 from __future__ import annotations
@@ -87,10 +87,8 @@ class SimulatedAnnealer(Generic[State]):
     batch_energy:
         Optional population-level energy: maps a state sequence to the
         values ``energy`` would return state by state (the WtDup filter
-        supplies a vectorized Eq. 4 whose cross-layer reductions run
-        through the configured :mod:`repro.core.backend` engine's
-        ``ordered_sum``). Used to score each round's neighbor
-        proposals in one call.
+        supplies its Eq. 4, bit-identical to ``energy``). Used to score
+        each round's neighbor proposals in one call.
     proposal_batch:
         Neighbor proposals drawn and scored per round. ``1`` (default)
         reproduces the classic chain exactly — one proposal, one
