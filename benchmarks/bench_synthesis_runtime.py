@@ -12,8 +12,8 @@ refactor: the exhaustive serial walk (pruning and the shared evaluation
 cache disabled — the pre-refactor behavior) against the full engine at
 ``jobs=4``, asserting the two return byte-identical solutions.
 
-``test_batched_vs_scalar_eval_speedup`` measures the numpy population
-evaluator against the gene-at-a-time oracle on the EA hot path and
+``test_batched_vs_scalar_eval_speedup`` measures the population lane
+kernel against the gene-at-a-time oracle on the EA hot path and
 publishes the speedup into the benchmark JSON (``extra_info``), so CI
 bench artifacts track the batching win over time.
 
@@ -23,10 +23,10 @@ faithful reconstruction of the PR 5 per-task walk, asserting identical
 solutions and publishing the cold-synthesis speedup into the bench
 JSON.
 
-``test_batched_backend_speedup`` scores the same population through
+``test_batched_backend_speedup`` bounds the same task grid through
 both array backends (numpy and the python reference) and publishes
-per-backend EA-scoring throughput (genes/sec) into the bench JSON, so
-CI artifacts track each engine over time.
+per-backend bound-kernel throughput (tasks/sec) into the bench JSON,
+so CI artifacts track each engine over time.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ def test_parallel_engine_speedup():
 
 
 def test_batched_vs_scalar_eval_speedup(benchmark):
-    """Numpy population scoring vs the scalar oracle (the EA hot path).
+    """Lane-kernel population scoring vs the scalar oracle (the EA
+    hot path).
 
     A VGG13 stage-3 landscape: 256 rule-valid genes scored once through
     ``score_population`` (what every EA generation now runs) and once
@@ -206,96 +207,80 @@ def test_batched_vs_scalar_eval_speedup(benchmark):
 
 
 def test_batched_backend_speedup(benchmark):
-    """Per-backend EA-scoring throughput on one VGG13 population.
+    """Per-backend task-grid bound throughput on one VGG13 queue.
 
-    Both backends (numpy, and python as the oracle floor) score the
-    same 256-gene population through ``BatchPerformanceEvaluator``;
-    each engine's wall time and genes/sec land in ``extra_info`` keyed
-    by backend name. The python backend must agree with numpy
+    Both backends (numpy, and python as the oracle floor) bound the
+    same full-Table-I task grid (every outer point x two WtDup vectors
+    x every ResDAC) through ``ArrayBackend.compute_bounds``; each
+    engine's wall time and tasks/sec land in ``extra_info`` keyed by
+    backend name. The python backend must agree with numpy
     bit-for-bit while it's at it (the cheap end-to-end cross-check;
     the conformance suite is the real gate)."""
-    import numpy as np
-
-    from repro.core.backend import available_backends
-    from repro.core.batch_eval import BatchPerformanceEvaluator
+    from repro.core.backend import available_backends, get_backend
+    from repro.core.design_space import DesignSpace
+    from repro.core.executor import EvaluationTask
+    from repro.core.grid_eval import GridBoundEvaluator
 
     model = zoo.vgg13()
     config = SynthesisConfig(total_power=120.0)
     n = model.num_weighted_layers
-    spec = make_spec(
-        model, [2] * n, xb_size=128, res_rram=2, res_dac=1,
-        params=config.params,
-        max_blocks_per_layer=config.max_blocks_per_layer,
-    )
-    budget = PowerBudget(
-        total_power=120.0, ratio_rram=0.3, xb_size=128, res_rram=2,
-        num_crossbars=4096,
-    )
-    explorer = MacroPartitionExplorer(
-        spec=spec, budget=budget, res_dac=1, config=config,
-        rng=random.Random(5),
-    )
-    rng = random.Random(1)
-    genes = explorer.initial_population(16)
-    while len(genes) < 256:
-        parent = rng.choice(genes)
-        operator = rng.choice(
-            [explorer.mutate_num, explorer.mutate_share]
-        )
-        genes.append(operator(parent, rng))
+    combos = [
+        (point, wt_dup, res_dac)
+        for point in DesignSpace(model, config).outer_points()
+        for wt_dup in ((1,) * n, (2,) * n)
+        for res_dac in config.res_dac_choices
+    ]
+    tasks = [
+        EvaluationTask(index=index, point=point, wt_dup=wt_dup,
+                       res_dac=res_dac)
+        for index, (point, wt_dup, res_dac) in enumerate(combos)
+    ]
+    grid = GridBoundEvaluator(model, config).build_grid(tasks)
 
     available = available_backends()
-    evaluators = {
-        name: BatchPerformanceEvaluator(
-            spec, budget, 1, backend=name,
-        )
-        for name in available
-    }
+    backends = {name: get_backend(name) for name in available}
     # Warm every engine once so the measured pass is steady-state
     # throughput.
     baseline = {
-        name: ev.evaluate_population(genes)
-        for name, ev in evaluators.items()
+        name: [float(v) for v in backend.compute_bounds(grid)]
+        for name, backend in backends.items()
     }
 
     def measure(name):
         started = time.perf_counter()
-        evaluators[name].evaluate_population(genes)
+        backends[name].compute_bounds(grid)
         return time.perf_counter() - started
 
     # The default backend under pytest-benchmark's real loop; the rest
     # on a single steady-state pass each.
-    benchmark(evaluators["numpy"].evaluate_population, genes)
+    benchmark(backends["numpy"].compute_bounds, grid)
     seconds = {"numpy": benchmark.stats.stats.min}
     for name in available:
         if name != "numpy":
             seconds[name] = min(measure(name) for _ in range(3))
 
     rows = []
-    benchmark.extra_info["population_size"] = len(genes)
+    benchmark.extra_info["num_tasks"] = len(tasks)
     benchmark.extra_info["backends_measured"] = sorted(seconds)
     for name, spent in sorted(seconds.items(), key=lambda kv: kv[1]):
-        genes_per_sec = len(genes) / spent
+        tasks_per_sec = len(tasks) / spent
         benchmark.extra_info[f"{name}_seconds"] = round(spent, 6)
-        benchmark.extra_info[f"{name}_genes_per_sec"] = round(
-            genes_per_sec, 1
+        benchmark.extra_info[f"{name}_tasks_per_sec"] = round(
+            tasks_per_sec, 1
         )
         rows.append((
-            name, round(spent, 5), f"{genes_per_sec:,.0f}",
+            name, round(spent, 5), f"{tasks_per_sec:,.0f}",
         ))
     print()
     print(format_table(
-        ["backend", "seconds", "genes/sec"],
+        ["backend", "seconds", "tasks/sec"],
         rows,
-        title="per-backend population scoring (VGG13, 256 genes)",
+        title=f"per-backend task-grid bounds (VGG13, {len(tasks)} "
+              f"tasks)",
     ))
 
     for name in available:
-        if name != "numpy":
-            assert np.array_equal(
-                np.asarray(baseline[name].fitness),
-                np.asarray(baseline["numpy"].fitness),
-            ), name
+        assert baseline[name] == baseline["numpy"], name
     assert "numpy" in seconds and seconds["numpy"] > 0
 
 

@@ -560,60 +560,63 @@ def cmd_backends(args) -> int:
 
 
 def _backend_probe(backend) -> None:
-    """Score a real population on ``backend`` and hold it to ``==``
-    against the pure-python oracle, field for field. Raises
-    PimsynError on divergence — `repro backends --check NAME` is the
-    one-command way to validate a backend on this interpreter."""
-    import random as _random
-
-    import numpy as np
-
-    from repro.core.batch_eval import BatchPerformanceEvaluator
+    """Bound a real lenet5 task grid on ``backend`` and hold every task
+    to ``==`` against the scalar :func:`throughput_upper_bound`.
+    Raises PimsynError on divergence — `repro backends --check NAME`
+    is the one-command way to validate a backend on this
+    interpreter."""
     from repro.core.dataflow import make_spec
-    from repro.core.macro_partition import MacroPartitionExplorer
+    from repro.core.design_space import DesignSpace
+    from repro.core.evaluator import throughput_upper_bound
+    from repro.core.executor import EvaluationTask
+    from repro.core.grid_eval import GridBoundEvaluator
     from repro.hardware.power import PowerBudget
     from repro.nn import lenet5
 
     model = lenet5()
-    config = SynthesisConfig.fast(total_power=2.0)
+    config = SynthesisConfig(total_power=2.0)  # the full Table I grid
     n = model.num_weighted_layers
-    spec = make_spec(
-        model, [1] * n, xb_size=128, res_rram=2, res_dac=1,
-        params=config.params,
-        max_blocks_per_layer=config.max_blocks_per_layer,
-    )
-    budget = PowerBudget(
-        total_power=2.0, ratio_rram=0.3, xb_size=128, res_rram=2,
-        num_crossbars=4096,
-    )
-    explorer = MacroPartitionExplorer(
-        spec=spec, budget=budget, res_dac=1, config=config,
-        rng=_random.Random(3),
-    )
-    genes = explorer.initial_population(16)
-    candidate = BatchPerformanceEvaluator(
-        spec, budget, 1, backend=backend,
-    ).evaluate_population(genes)
-    oracle = BatchPerformanceEvaluator(
-        spec, budget, 1, backend="python",
-    ).evaluate_population(genes)
-    for field in (
-        "feasible", "bottleneck_layer", "num_macros", "fitness",
-        "period", "latency", "throughput", "tops", "power",
-        "tops_per_watt", "energy_per_image", "edp",
-    ):
-        if not np.array_equal(
-            np.asarray(getattr(candidate, field)),
-            np.asarray(getattr(oracle, field)),
-        ):
+    combos = [
+        (point, wt_dup, res_dac)
+        for point in DesignSpace(model, config).outer_points()
+        for wt_dup in ((1,) * n, (2,) * n)
+        for res_dac in config.res_dac_choices
+    ]
+    tasks = [
+        EvaluationTask(index=index, point=point, wt_dup=wt_dup,
+                       res_dac=res_dac)
+        for index, (point, wt_dup, res_dac) in enumerate(combos)
+    ]
+    grid = GridBoundEvaluator(model, config, backend).build_grid(tasks)
+    bounds = [float(v) for v in backend.compute_bounds(grid)]
+    for task, bound in zip(tasks, bounds):
+        point = task.point
+        spec = make_spec(
+            model, task.wt_dup, xb_size=point.xb_size,
+            res_rram=point.res_rram, res_dac=task.res_dac,
+            params=config.params,
+            max_blocks_per_layer=config.max_blocks_per_layer,
+        )
+        budget = PowerBudget(
+            total_power=config.total_power,
+            ratio_rram=point.ratio_rram, xb_size=point.xb_size,
+            res_rram=point.res_rram, num_crossbars=point.num_crossbars,
+        )
+        expected = throughput_upper_bound(
+            spec, budget,
+            enable_macro_sharing=config.enable_macro_sharing,
+        )
+        if bound != expected:
             raise PimsynError(
-                f"backend {backend.name!r} failed the batch-eval "
-                f"conformance probe: {field} diverges from the "
-                f"python oracle"
+                f"backend {backend.name!r} failed the bound-kernel "
+                f"conformance probe: task {task.index} "
+                f"({point.describe()}, WtDup {task.wt_dup[0]}, ResDAC "
+                f"{task.res_dac}) bounds {bound!r}, the scalar oracle "
+                f"{expected!r}"
             )
     print(
-        f"conformance probe passed: {len(genes)}-gene population "
-        f"scored bit-identical vs the python oracle"
+        f"conformance probe passed: {len(tasks)}-task lenet5 grid "
+        f"bounded bit-identical vs the scalar oracle"
     )
 
 

@@ -117,11 +117,12 @@ class SynthesisConfig:
         worker process), so re-visited (model, hardware params, design
         point, gene) tuples never re-run component allocation.
     batch_eval:
-        Score whole EA populations through the numpy engine of
-        :mod:`repro.core.batch_eval` (one vector op per pipeline stage
-        instead of one Python call per gene). The batched engine
-        replicates the scalar oracle's operation order, so results are
-        identical for a fixed seed — this knob only changes speed.
+        Score whole EA populations through the lane kernel of
+        :mod:`repro.core.batch_eval` (one pass of float/int arithmetic
+        per gene instead of the object-building scalar chain). The
+        kernel replicates the scalar oracle's operation order, so
+        results are identical for a fixed seed — this knob only
+        changes speed.
         ``False`` falls back to gene-at-a-time evaluation.
     sa_proposal_batch:
         Neighbor proposals the stage-1 SA filter draws and scores per
@@ -153,9 +154,10 @@ class SynthesisConfig:
         only changes speed and is excluded from content keys.
         ``False`` falls back to the per-task scalar walk.
     backend:
-        Name of the array-execution backend every tensorized path
-        runs on — the outer task-grid walk *and* the batched EA/NSGA/
-        SA population scoring (see :mod:`repro.core.backend`):
+        Name of the array-execution backend the tensorized outer
+        task-grid walk runs on — its bound kernel and prune mask (see
+        :mod:`repro.core.backend`; EA population scoring has one
+        kernel and ignores it):
         ``"numpy"`` (default, vectorized) or ``"python"`` (the loop
         reference). Both are bit-identical by contract, so the choice
         is execution-only and excluded from content keys. Unknown

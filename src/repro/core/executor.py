@@ -29,8 +29,8 @@ Three properties make the engine safe to parallelize and to accelerate:
    component-allocation stage (per process; workers keep local caches).
 4. **Batched population scoring** — every explorer a runner builds
    inherits ``config.batch_eval``, so each EA launch scores whole
-   generations through the numpy engine of
-   :mod:`repro.core.batch_eval`. The engine is bit-identical to the
+   generations through the lane kernel of
+   :mod:`repro.core.batch_eval`. The kernel is bit-identical to the
    scalar oracle, which is why ``batch_eval`` sits in
    :data:`EXECUTION_ONLY_FIELDS`; serial and multiprocessing paths both
    benefit because the batching happens inside the worker-side runner.
@@ -415,8 +415,8 @@ class _TaskRunner:
         """Build the stage-3 explorer for a task (shared by run/score).
 
         The explorer inherits ``config.batch_eval``, so every EA launch
-        this worker runs scores whole populations through the numpy
-        engine — the serial executor and each pool worker batch their
+        this worker runs scores whole populations through the lane
+        kernel — the serial executor and each pool worker batch their
         task queues' evaluations identically.
         """
         spec, budget = self.spec_and_budget(task)
@@ -435,7 +435,7 @@ class _TaskRunner:
     ) -> List[float]:
         """Batch-score a gene population under a task's context.
 
-        One vectorized pass over the whole queue of genes; values are
+        One lane-kernel pass over the whole queue of genes; values are
         identical to scoring each gene through the task's explorer.
         Used by analysis tooling and the differential test suite to
         probe a task's fitness landscape without launching its EA.
@@ -451,7 +451,7 @@ class _TaskRunner:
         re-visited (design point, gene, objectives) evaluations are
         free. Front genes are re-scored through the scalar oracle to
         materialize full metrics — deterministic, and bit-identical to
-        what the batched engine computed during the search.
+        what the lane kernel computed during the search.
         """
         import math
 

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, MutableMapping, Optional, Sequence, Tuple
 
-from repro.core.batch_eval import BatchPerformanceEvaluator
+from repro.core.batch_eval import SCORE_FIELDS, BatchPerformanceEvaluator
 from repro.core.component_alloc import (
     ComponentAllocation,
     allocate_components,
@@ -136,12 +136,13 @@ class MacroPartitionExplorer:
     is the original behavior.
 
     ``batch_eval`` selects the population-scoring engine: ``True`` runs
-    whole EA generations through the numpy evaluator of
-    :mod:`repro.core.batch_eval` (bit-identical metrics, one vector op
-    per stage instead of one Python call per gene), ``False`` keeps the
-    gene-at-a-time oracle, and ``None`` (default) follows
-    ``config.batch_eval``. Either way :meth:`score` remains the scalar
-    reference for individual genes (winner materialization, tests).
+    whole EA generations through the lane kernel of
+    :mod:`repro.core.batch_eval` (bit-identical metrics from one pass
+    of float/int arithmetic per gene, with no partition, allocation or
+    NoC objects built), ``False`` keeps the gene-at-a-time oracle, and
+    ``None`` (default) follows ``config.batch_eval``. Either way
+    :meth:`score` remains the scalar reference for individual genes
+    (winner materialization, tests).
     """
 
     def __init__(
@@ -206,10 +207,10 @@ class MacroPartitionExplorer:
         return result.fitness, allocation, result
 
     def score_population(self, genes: Sequence[Gene]) -> List[float]:
-        """Fitness of every gene in one vectorized pass.
+        """Fitness of every gene in one lane-kernel pass.
 
         Numerically identical to calling :meth:`score` per gene (the
-        batched engine replicates the scalar operation order); used by
+        kernel replicates the scalar operation order); used by
         the EA as its generation-level ``batch_fitness`` hook. With
         ``batch_eval`` off it degrades to the
         scalar loop, so callers get the same values either way.
@@ -251,10 +252,10 @@ class MacroPartitionExplorer:
         genes: Sequence[Gene],
         objectives: Optional[Sequence[str]] = None,
     ) -> List[Tuple[float, ...]]:
-        """Objective vectors of every gene in one vectorized pass.
+        """Objective vectors of every gene in one lane-kernel pass.
 
         The multi-objective analog of :meth:`score_population`: the
-        batched engine's metric arrays (bit-identical to the scalar
+        kernel's per-gene rows (bit-identical to the scalar
         oracle) feed the same :func:`repro.core.config.
         objective_vector` adapter the scalar path uses, so batched and
         scalar runs produce identical vectors — and therefore identical
@@ -267,24 +268,20 @@ class MacroPartitionExplorer:
             return [
                 self.score_objectives(gene, objectives) for gene in genes
             ]
-        batch = self.batch_evaluator.evaluate_population(genes)
-        vectors: List[Tuple[float, ...]] = []
-        for position in range(len(genes)):
-            if not bool(batch.feasible[position]):
-                vectors.append(infeasible_objective_vector(objectives))
-                continue
-            metrics = {
-                name: float(getattr(batch, name)[position])
-                for name in objectives
-            }
-            vectors.append(objective_vector(metrics, objectives))
-        return vectors
+        columns = [(name, SCORE_FIELDS.index(name)) for name in objectives]
+        return [
+            objective_vector(
+                {name: row[column] for name, column in columns},
+                objectives,
+            )
+            if row[0] else infeasible_objective_vector(objectives)
+            for row in self.batch_evaluator.score_rows(genes)
+        ]
 
     @property
     def batch_evaluator(self) -> BatchPerformanceEvaluator:
-        """The lazily built batched engine for this (spec, budget, DAC),
-        running on ``config.backend`` (execution-only, like
-        ``config.batch_eval`` itself)."""
+        """The lazily built lane-kernel evaluator for this (spec,
+        budget, DAC)."""
         if self._batch_evaluator is None:
             self._batch_evaluator = BatchPerformanceEvaluator(
                 self.spec,
@@ -292,7 +289,6 @@ class MacroPartitionExplorer:
                 self.res_dac,
                 enable_macro_sharing=self.config.enable_macro_sharing,
                 identical_macros=not self.config.specialized_macros,
-                backend=self.config.backend,
             )
         return self._batch_evaluator
 

@@ -40,6 +40,7 @@ class CNNModel:
     weight_precision: int = 16
     _by_name: Dict[str, Layer] = field(init=False, repr=False)
     _order: List[Layer] = field(init=False, repr=False)
+    _weighted_index: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.act_precision <= 0 or self.weight_precision <= 0:
@@ -54,6 +55,10 @@ class CNNModel:
             self._by_name[layer.name] = layer
         self._order = self._toposort()
         infer_shapes(self._order, self.input_shape)
+        self._weighted_index = {
+            layer.name: index
+            for index, layer in enumerate(self.weighted_layers)
+        }
 
     def _toposort(self) -> List[Layer]:
         """Kahn's algorithm; raises on cycles and dangling references."""
@@ -124,10 +129,12 @@ class CNNModel:
 
     def weighted_index(self, name: str) -> int:
         """Position of a weighted layer in the ``weighted_layers`` vector."""
-        for i, layer in enumerate(self.weighted_layers):
-            if layer.name == name:
-                return i
-        raise ModelError(f"{name!r} is not a weighted layer of {self.name!r}")
+        try:
+            return self._weighted_index[name]
+        except KeyError:
+            raise ModelError(
+                f"{name!r} is not a weighted layer of {self.name!r}"
+            ) from None
 
     def producer_weighted_index(self, layer_name: str) -> Optional[int]:
         """Index of the nearest weighted ancestor feeding ``layer_name``.

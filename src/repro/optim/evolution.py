@@ -185,14 +185,7 @@ class EvolutionEngine(Generic[Gene]):
         fitnesses = [f for _, f in population]
         low = min(fitnesses)
         if low <= 0:
-            weights = [
-                rank + 1
-                for rank, _ in enumerate(
-                    sorted(range(len(population)),
-                           key=lambda i: fitnesses[i])
-                )
-            ]
-            # weights indexed by sorted rank -> map back to positions
+            # Rank weights (1 = lowest fitness), mapped back to positions.
             order = sorted(range(len(population)), key=lambda i: fitnesses[i])
             position_weights = [0.0] * len(population)
             for rank, pos in enumerate(order):

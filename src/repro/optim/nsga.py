@@ -7,7 +7,7 @@ caller-supplied mutation operators, ``gene_key`` identity, an optional
 externally owned memo cache consulted before every evaluation, and an
 optional population-level ``batch_objectives`` hook — so the DSE
 executor can drive both engines through the same memoized batch-fitness
-path (:mod:`repro.core.batch_eval` supplies the vectorized scorer).
+path (:mod:`repro.core.batch_eval` supplies the population scorer).
 
 The NSGA-II specifics (Deb et al. 2002) live in
 :mod:`repro.optim.dominance`: fast non-dominated sort, crowding

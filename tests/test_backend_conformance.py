@@ -1,10 +1,11 @@
 """Per-backend conformance for the array-execution registry.
 
 Both backends (``numpy`` and ``python``) must return bit-identical
-values for the op-level primitives and the fused kernels (task-grid
-bounds *and* population scoring) — the ``python`` loop engine is the
-reference, since it executes the scalar oracle's operation order
-literally. Every output is compared with ``==``.
+values from the prune mask and the fused task-grid bound kernel — the
+``python`` loop engine is the reference, since it executes the scalar
+oracle's operation order literally. The EA population lane kernel,
+which no backend owns, is held to the scalar oracle here too. Every
+output is compared with ``==``.
 
 The registry's lookup behavior is pinned too: unknown names raise
 ConfigurationError naming the backends that do exist.
@@ -19,6 +20,7 @@ import pytest
 from repro.core.backend import (
     BUILTIN_BACKENDS,
     DEFAULT_BACKEND,
+    NumpyBackend,
     PythonBackend,
     available_backends,
     backend_status,
@@ -108,20 +110,17 @@ class TestKernelConformance:
             reference
 
 
-@pytest.fixture(scope="module")
-def lenet_population():
-    """A real PopulationContext + rule-valid gene population (lenet5)
-    plus the python-oracle scores, for fused-kernel conformance."""
-    import numpy as np
-
-    from repro.core.batch_eval import BatchPerformanceEvaluator
+def _lane_population(name, power):
+    """A real stage-3 explorer + rule-valid gene population for
+    ``name`` at ``power`` watts, plus the scalar oracle's ``score`` of
+    every gene."""
     from repro.core.dataflow import make_spec
     from repro.core.macro_partition import MacroPartitionExplorer
     from repro.hardware.power import PowerBudget
     from repro.nn import zoo
 
-    model = zoo.by_name("lenet5")
-    config = SynthesisConfig.fast(total_power=2.0)
+    model = zoo.by_name(name)
+    config = SynthesisConfig.fast(total_power=power)
     n = model.num_weighted_layers
     spec = make_spec(
         model, [1] * n, xb_size=128, res_rram=2, res_dac=1,
@@ -129,7 +128,7 @@ def lenet_population():
         max_blocks_per_layer=config.max_blocks_per_layer,
     )
     budget = PowerBudget(
-        total_power=2.0, ratio_rram=0.3, xb_size=128, res_rram=2,
+        total_power=power, ratio_rram=0.3, xb_size=128, res_rram=2,
         num_crossbars=4096,
     )
     explorer = MacroPartitionExplorer(
@@ -144,17 +143,15 @@ def lenet_population():
             [explorer.mutate_num, explorer.mutate_share]
         )
         genes.append(operator(parent, rng))
-    evaluator = BatchPerformanceEvaluator(
-        spec, budget, 1, backend="python"
-    )
-    genes_arr = np.asarray(genes, dtype=np.int64)
-    oracle = get_backend("python").score_population(
-        evaluator.context, genes_arr
-    )
-    return evaluator.context, genes_arr, oracle
+    return explorer, genes, [explorer.score(gene) for gene in genes]
 
 
-#: Integer / flag PopulationScores fields.
+#: (model, watts) populations the lane-kernel conformance tier scores:
+#: a 4-layer chain and a 21-layer residual net (skip edges, row-tiled
+#: merges), each at a budget that leaves some lanes infeasible.
+LANE_CASES = {"lenet5": 0.5, "resnet18_cifar": 12.0}
+
+#: Integer / flag score fields.
 EXACT_SCORE_FIELDS = ("feasible", "bottleneck_layer", "num_macros")
 #: Float kernel outputs.
 FLOAT_SCORE_FIELDS = (
@@ -163,103 +160,56 @@ FLOAT_SCORE_FIELDS = (
 )
 
 
-class TestBatchEvalPrimitiveConformance:
-    """decode_population / mesh_hops: integer-exact on both backends."""
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_decode_population_matches_reference(
-        self, name, lenet_population
-    ):
-        import numpy as np
-
-        backend = get_backend(name)
-        _, genes_arr, _ = lenet_population
-        got = backend.decode_population(genes_arr)
-        want = _reference().decode_population(genes_arr)
-        assert len(got) == len(want) == 5
-        for g, w in zip(got, want):
-            assert np.array_equal(np.asarray(g), np.asarray(w))
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_mesh_hops_matches_reference(self, name):
-        import numpy as np
-
-        backend = get_backend(name)
-        rng = random.Random(5)
-        a = np.asarray(
-            [rng.randrange(0, 64) for _ in range(128)], dtype=np.int64
-        )
-        b = np.asarray(
-            [rng.randrange(0, 64) for _ in range(128)], dtype=np.int64
-        )
-        for cols in (1, 3, 8):
-            got = np.asarray(backend.mesh_hops(a, b, cols))
-            want = np.asarray(_reference().mesh_hops(a, b, cols))
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_mesh_hops_is_manhattan(self, name):
-        """Pinned against the closed form, not just the reference."""
-        import numpy as np
-
-        backend = get_backend(name)
-        a = np.asarray([0, 5, 7, 7], dtype=np.int64)
-        b = np.asarray([7, 5, 0, 6], dtype=np.int64)
-        got = [int(v) for v in np.asarray(backend.mesh_hops(a, b, 3))]
-        assert got == [3, 0, 3, 1]
+@pytest.fixture(scope="module", params=sorted(LANE_CASES))
+def lane_population(request):
+    explorer, genes, oracle = _lane_population(
+        request.param, LANE_CASES[request.param]
+    )
+    return explorer.batch_evaluator.evaluate_population(genes), oracle
 
 
 class TestScorePopulationConformance:
-    """The fused batch-eval kernel, per backend, against the python
-    oracle: ``==`` on every field."""
+    """The population lane kernel against the scalar oracle
+    (``MacroPartitionExplorer.score``): ``==`` on every field."""
 
-    @pytest.mark.parametrize("name", available_backends())
-    def test_exact_fields_bit_identical(self, name, lenet_population):
-        import numpy as np
+    def test_exact_fields_bit_identical(self, lane_population):
+        batch, oracle = lane_population
+        for k, (_fitness, allocation, result) in enumerate(oracle):
+            assert bool(batch.feasible[k]) == (allocation is not None)
+            if result is None:
+                assert int(batch.bottleneck_layer[k]) == -1
+                assert int(batch.num_macros[k]) == 0
+            else:
+                assert int(batch.bottleneck_layer[k]) == \
+                    result.bottleneck_layer
 
-        backend = get_backend(name)
-        ctx, genes_arr, oracle = lenet_population
-        scores = backend.score_population(ctx, genes_arr)
-        for field in EXACT_SCORE_FIELDS:
-            assert np.array_equal(
-                np.asarray(getattr(scores, field)),
-                np.asarray(getattr(oracle, field)),
-            ), field
+    def test_float_fields_within_contract(self, lane_population):
+        batch, oracle = lane_population
+        for k, (fitness, _allocation, result) in enumerate(oracle):
+            assert float(batch.fitness[k]) == fitness
+            if result is None:
+                continue
+            for field in FLOAT_SCORE_FIELDS[1:]:
+                assert float(getattr(batch, field)[k]) == \
+                    getattr(result, field), field
 
-    @pytest.mark.parametrize("name", available_backends())
-    def test_float_fields_within_contract(self, name, lenet_population):
-        import numpy as np
-
-        backend = get_backend(name)
-        ctx, genes_arr, oracle = lenet_population
-        scores = backend.score_population(ctx, genes_arr)
-        for field in FLOAT_SCORE_FIELDS:
-            got = np.asarray(getattr(scores, field), dtype=np.float64)
-            want = np.asarray(getattr(oracle, field), dtype=np.float64)
-            assert np.array_equal(got, want), field
-
-    @pytest.mark.parametrize("name", available_backends())
     def test_population_has_feasible_and_infeasible_lanes(
-        self, name, lenet_population
+        self, lane_population
     ):
         """The fixture exercises both kernel paths; infeasible lanes
-        must come back fully masked on every backend."""
+        must come back fully masked."""
         import numpy as np
 
-        backend = get_backend(name)
-        ctx, genes_arr, _ = lenet_population
-        scores = backend.score_population(ctx, genes_arr)
-        feasible = np.asarray(scores.feasible)
+        batch, _ = lane_population
+        feasible = np.asarray(batch.feasible)
         assert feasible.any()
         masked = ~feasible
-        if masked.any():
-            for field in FLOAT_SCORE_FIELDS:
-                vals = np.asarray(getattr(scores, field))
-                assert np.all(vals[masked] == 0.0), field
-            assert np.all(
-                np.asarray(scores.bottleneck_layer)[masked] == -1
-            )
-            assert np.all(np.asarray(scores.num_macros)[masked] == 0)
+        assert masked.any()
+        for field in FLOAT_SCORE_FIELDS:
+            vals = np.asarray(getattr(batch, field))
+            assert np.all(vals[masked] == 0.0), field
+        assert np.all(np.asarray(batch.bottleneck_layer)[masked] == -1)
+        assert np.all(np.asarray(batch.num_macros)[masked] == 0)
 
 
 class TestRegistry:
@@ -358,4 +308,30 @@ class TestCli:
         from repro.cli import main
 
         assert main(["backends", "--check", name]) == 0
-        assert "available" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "available" in out
+        assert "conformance probe passed" in out
+
+    def test_probe_catches_a_one_ulp_bound_divergence(self):
+        """The probe compares every task's bound with ``==``: a
+        backend off by one ulp on a single task fails it."""
+        import math
+
+        import numpy as np
+
+        from repro.cli import _backend_probe
+        from repro.errors import PimsynError
+
+        class OffByOneUlp(NumpyBackend):
+            name = "off-by-one-ulp"
+
+            def compute_bounds(self, grid):
+                bounds = np.array(super().compute_bounds(grid))
+                positive = np.flatnonzero(bounds > 0)
+                bounds[positive[-1]] = math.nextafter(
+                    bounds[positive[-1]], math.inf
+                )
+                return bounds
+
+        with pytest.raises(PimsynError, match="bound-kernel"):
+            _backend_probe(OffByOneUlp())

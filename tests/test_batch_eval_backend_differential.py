@@ -1,13 +1,14 @@
-"""Differential suite: batched EA scoring per array backend, end to end.
+"""Differential suite: ``backend`` is execution-only, end to end.
 
-The tentpole claim of the batch-eval backend seam: ``backend`` is an
-*execution* knob — it selects how populations are scored (vectorized
-numpy or pure-python loops), never what they score. This suite pins
-that in four layers:
+``backend`` selects how the outer task-grid walk is bounded (vectorized
+numpy or pure-python loops), never what anything scores; EA population
+scoring runs on one lane kernel whichever backend is configured. This
+suite pins that in four layers:
 
-1. Population-level: every zoo model x the power grid, the full
-   :class:`BatchEvaluation` of a rule-valid population is ``==``-
-   identical across backends.
+1. Population-level: every zoo model x the power grid, the
+   :class:`BatchEvaluation` of a rule-valid population, scored by an
+   explorer configured with each backend, is ``==`` to the scalar
+   oracle (``MacroPartitionExplorer.score``) gene for gene.
 2. Full synthesis: the (backend x jobs x batch_eval) matrix returns one
    winning solution with identical telemetry (EA runs, pruning
    decisions, cache hits).
@@ -27,10 +28,12 @@ import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import backend_status
-from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.dataflow import make_spec
 from repro.core.executor import config_fingerprint, params_fingerprint
-from repro.core.macro_partition import MacroPartitionExplorer
+from repro.core.macro_partition import (
+    MacroPartition,
+    MacroPartitionExplorer,
+)
 from repro.hardware.params import HardwareParams
 from repro.hardware.power import PowerBudget
 from repro.nn import lenet5, zoo
@@ -43,7 +46,6 @@ AVAILABLE_BACKENDS = tuple(
     name for name, ok, _ in backend_status() if ok
 )
 
-EXACT_FIELDS = ("feasible", "bottleneck_layer", "num_macros")
 FLOAT_FIELDS = (
     "fitness", "period", "latency", "throughput", "tops", "power",
     "tops_per_watt", "energy_per_image", "edp",
@@ -57,9 +59,9 @@ PINNED_CONFIG_FP_FAST_2W = "101f9fe6705bffb0"
 PINNED_JOB_KEY_LENET5_FAST_2W = "0adb10f6bd13ed88e923b60108964df7"
 
 
-def _explorer(model, power, seed=1):
+def _explorer(model, power, seed=1, backend="numpy"):
     """A stage-3 explorer over a ones-WtDup spec for ``model``."""
-    config = SynthesisConfig.fast(total_power=power)
+    config = SynthesisConfig.fast(total_power=power, backend=backend)
     n = model.num_weighted_layers
     spec = make_spec(
         model, [1] * n, xb_size=128, res_rram=2, res_dac=1,
@@ -89,56 +91,46 @@ def _population(explorer, size=24, seed=2):
     return genes
 
 
-def _evaluator(explorer, backend):
-    return BatchPerformanceEvaluator(
-        explorer.spec, explorer.budget, explorer.res_dac,
-        enable_macro_sharing=explorer.config.enable_macro_sharing,
-        identical_macros=not explorer.config.specialized_macros,
-        backend=backend,
-    )
-
-
-def _assert_batches_match(reference, candidate, backend_name):
-    import numpy as np
-
-    for field in EXACT_FIELDS:
-        assert np.array_equal(
-            np.asarray(getattr(candidate, field)),
-            np.asarray(getattr(reference, field)),
-        ), f"{backend_name}:{field}"
-    for field in FLOAT_FIELDS:
-        want = np.asarray(getattr(reference, field), dtype=np.float64)
-        got = np.asarray(getattr(candidate, field), dtype=np.float64)
-        assert np.array_equal(got, want), f"{backend_name}:{field}"
+def _assert_matches_scalar_oracle(explorer, genes, label):
+    batch = explorer.batch_evaluator.evaluate_population(genes)
+    for k, gene in enumerate(genes):
+        fitness, allocation, result = explorer.score(gene)
+        assert float(batch.fitness[k]) == fitness, f"{label}:{k}"
+        assert bool(batch.feasible[k]) == (allocation is not None)
+        if result is None:
+            assert int(batch.bottleneck_layer[k]) == -1
+            assert int(batch.num_macros[k]) == 0
+            continue
+        assert int(batch.bottleneck_layer[k]) == result.bottleneck_layer
+        assert int(batch.num_macros[k]) == \
+            MacroPartition.from_gene(gene).num_macros
+        for field in FLOAT_FIELDS[1:]:
+            assert float(getattr(batch, field)[k]) == \
+                getattr(result, field), f"{label}:{k}:{field}"
 
 
 class TestZooPopulationIdentity:
-    """Every zoo model x power grid: batched scores agree across every
-    backend (numpy is the comparison baseline; python's
-    oracle status vs the scalar path is pinned by
-    test_batch_eval_differential.py)."""
+    """Every zoo model x power grid: the population lane kernel, under
+    each configured backend, equals the scalar oracle gene for gene
+    (``==`` on every field)."""
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    def test_population_scores_match_numpy(self, backend):
-        if backend == "numpy":
-            pytest.skip("numpy is the comparison baseline")
+    def test_population_scores_match_scalar_oracle(self, backend):
         for name in zoo.available_models():
             model = zoo.by_name(name)
             for power in POWER_GRID:
-                explorer = _explorer(model, power)
-                genes = _population(explorer)
-                baseline = _evaluator(explorer, "numpy") \
-                    .evaluate_population(genes)
-                candidate = _evaluator(explorer, backend) \
-                    .evaluate_population(genes)
-                _assert_batches_match(baseline, candidate, backend)
+                explorer = _explorer(model, power, backend=backend)
+                _assert_matches_scalar_oracle(
+                    explorer, _population(explorer),
+                    f"{backend}:{name}@{power}W",
+                )
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     def test_empty_and_malformed_populations(self, backend):
         from repro.errors import ConfigurationError
 
-        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
-        evaluator = _evaluator(explorer, backend)
+        explorer = _explorer(zoo.by_name("lenet5"), 2.0, backend=backend)
+        evaluator = explorer.batch_evaluator
         assert len(evaluator.evaluate_population([])) == 0
         with pytest.raises(ConfigurationError, match="shape"):
             evaluator.evaluate_population([(1001,)])

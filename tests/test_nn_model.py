@@ -67,6 +67,16 @@ class TestViews:
         with pytest.raises(ModelError):
             tiny_model.weighted_index("r1")
 
+    def test_weighted_index_matches_weighted_layers_zoo_wide(self):
+        from repro.nn import zoo
+
+        for name in zoo.available_models():
+            model = zoo.by_name(name)
+            for index, layer in enumerate(model.weighted_layers):
+                assert model.weighted_index(layer.name) == index
+            with pytest.raises(ModelError, match="not a weighted layer"):
+                model.weighted_index("no-such-layer")
+
     def test_layer_lookup(self, tiny_model):
         assert tiny_model.layer("c1").name == "c1"
         with pytest.raises(ModelError):
