@@ -17,6 +17,7 @@ from repro.core.backend import DEFAULT_BACKEND, get_backend
 from repro.errors import ConfigurationError
 from repro.hardware.params import HardwareParams
 from repro.hardware.tech import DEFAULT_TECHNOLOGY, get_technology
+from repro.optim.annealing import AnnealingSchedule
 
 #: Metrics the multi-objective (pareto) mode can optimize, mapped to
 #: their sense: ``+1`` maximized as-is, ``-1`` negated so the shared
@@ -126,11 +127,10 @@ class SynthesisConfig:
         ``False`` falls back to gene-at-a-time evaluation.
     sa_proposal_batch:
         Neighbor proposals the stage-1 SA filter draws and scores per
-        batch (its Eq. 4 energies vectorize the same way). ``1``
-        reproduces the classic one-proposal-per-step chain exactly;
-        larger batches draw each round's proposals from the round's
-        entry state, which changes the (still deterministic) walk —
-        the value therefore participates in result content keys.
+        round. ``1`` reproduces the classic one-proposal-per-step chain
+        exactly; larger rounds draw all their proposals from the
+        round's entry state, which changes the (still deterministic)
+        walk — the value therefore participates in result content keys.
     pareto:
         Multi-objective synthesis mode: :meth:`repro.core.synthesizer.
         Pimsyn.synthesize_pareto` runs NSGA-II per DSE task and merges
@@ -220,6 +220,15 @@ class SynthesisConfig:
             return max(1, os.cpu_count() or 1)
         return self.jobs
 
+    def annealing_schedule(self) -> AnnealingSchedule:
+        """The stage-1 SA cooling schedule the ``sa_*`` knobs define."""
+        return AnnealingSchedule(
+            initial_temperature=self.sa_initial_temperature,
+            min_temperature=self.sa_min_temperature,
+            cooling_rate=self.sa_cooling_rate,
+            steps_per_temp=self.sa_steps_per_temp,
+        )
+
     def __post_init__(self) -> None:
         if not math.isfinite(self.total_power) or self.total_power <= 0:
             raise ConfigurationError(
@@ -275,8 +284,30 @@ class SynthesisConfig:
                     f"{profile.name!r} (cells: "
                     f"{profile.res_rram_choices})"
                 )
+        if (
+            not isinstance(self.num_wtdup_candidates, int)
+            or isinstance(self.num_wtdup_candidates, bool)
+        ):
+            raise ConfigurationError(
+                f"num_wtdup_candidates must be an integer, got "
+                f"{self.num_wtdup_candidates!r}"
+            )
         if self.num_wtdup_candidates < 1:
             raise ConfigurationError("need at least one WtDup candidate")
+        # A NaN alpha makes every Metropolis test fail (each walk keeps
+        # only its initial state); a bad schedule would otherwise fail
+        # only inside the first SA walk.
+        if (
+            isinstance(self.sa_alpha, bool)
+            or not isinstance(self.sa_alpha, (int, float))
+            or not math.isfinite(self.sa_alpha)
+            or self.sa_alpha < 0
+        ):
+            raise ConfigurationError(
+                f"sa_alpha must be a finite number >= 0, got "
+                f"{self.sa_alpha!r}"
+            )
+        self.annealing_schedule()
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise ConfigurationError(
                 f"jobs must be an integer, got {self.jobs!r} "

@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from operator import itemgetter, mul
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.hardware.crossbar import crossbar_set_size
 from repro.nn.model import CNNModel
-from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer
 
 WtDup = Tuple[int, ...]
 
@@ -108,8 +108,9 @@ class WeightDuplicationFilter:
         return self._energies(states)
 
     def _energies(self, states: Sequence[Sequence[int]]) -> List[float]:
-        """The one Eq. 4 implementation behind :meth:`energy` and
-        :meth:`batch_energy`.
+        """The one Eq. 4 implementation behind :meth:`energy`,
+        :meth:`batch_energy` and the memo misses of
+        :meth:`top_candidates`.
 
         Both stdev terms run :func:`repro.utils.mathutils.stdev`'s
         operations in its order (left-to-right ``sum``, ``sum / n``,
@@ -175,7 +176,8 @@ class WeightDuplicationFilter:
         the one or two layers it touches stay in ``[1, cap]``, its
         ``set_sizes`` delta fits the slack, and it touches every
         out-of-bounds layer — exactly :meth:`is_feasible` on the moved
-        state, so the walk and its RNG draws are unchanged.
+        state. :meth:`top_candidates` inlines this move; this method is
+        the oracle it is tested against.
         """
         self._check_length(state)
         sizes = self.set_sizes
@@ -224,23 +226,123 @@ class WeightDuplicationFilter:
     # Entry point (Alg. 1 line 6)
     # ------------------------------------------------------------------
     def top_candidates(self, rng: random.Random) -> List[WtDup]:
-        """Run the SA filter; return the best distinct WtDup vectors."""
-        schedule = AnnealingSchedule(
-            initial_temperature=self.config.sa_initial_temperature,
-            min_temperature=self.config.sa_min_temperature,
-            cooling_rate=self.config.sa_cooling_rate,
-            steps_per_temp=self.config.sa_steps_per_temp,
-        )
-        annealer = SimulatedAnnealer(
-            energy=self.energy,
-            neighbor=self.neighbor,
-            state_key=lambda state: state,
-            rng=rng,
-            schedule=schedule,
-            batch_energy=self.batch_energy,
-            proposal_batch=self.config.sa_proposal_batch,
-        )
-        ranked = annealer.run(
-            self.initial_state(), top_k=self.config.num_wtdup_candidates
-        )
-        return [state for state, _energy in ranked]
+        """Run the SA filter; return the best distinct WtDup vectors.
+
+        One fused loop equal to
+        :class:`repro.optim.annealing.SimulatedAnnealer` driving
+        :meth:`neighbor`, :meth:`energy` and :meth:`batch_energy` from
+        :meth:`initial_state` (the oracle the differential tests
+        compose): the same ``rng`` calls in the same order, the same
+        archive and eviction rule, the same ranked list. Only the
+        Python work per proposal differs:
+
+        - Eq. 4 values are memoized per walk, keyed by state (the walk
+          revisits states constantly); a miss runs :meth:`_energies`.
+        - Every proposal of a round starts from the round's entry
+          state, so its crossbar slack and out-of-bounds layers are
+          found once per round, and each retry is :meth:`neighbor`'s
+          O(1) touched-layer test.
+        - ``rng.randrange(n)`` is written out inline as the loop CPython
+          runs for it (``_randbelow_with_getrandbits``): draw
+          ``n.bit_length()`` bits until the value is below ``n``. Same
+          values, same ``rng`` state; the tests pin the loop to
+          ``randrange`` for ``n`` in 1..64.
+        """
+        config = self.config
+        schedule = config.annealing_schedule()
+        top_k = config.num_wtdup_candidates
+        proposal_batch = config.sa_proposal_batch
+        sizes = self.set_sizes
+        caps = self.dup_caps
+        budget = self.num_crossbars
+        n_layers = len(sizes)
+        bits = n_layers.bit_length()
+        getrandbits = rng.getrandbits
+        uniform = rng.random
+        exp = math.exp
+        eq4 = self._energies
+        memo: Dict[WtDup, float] = {}
+
+        current = self.initial_state()
+        current_energy = memo[current] = eq4((current,))[0]
+        archive = {current: current_energy}
+        archive_cap = 4 * top_k + 64
+        for temperature in schedule.temperatures():
+            remaining = schedule.steps_per_temp
+            while remaining > 0:
+                round_size = min(proposal_batch, remaining)
+                remaining -= round_size
+                state = current
+                slack = budget - sum(map(mul, state, sizes))
+                out_of_bounds = [
+                    i for i, dup in enumerate(state)
+                    if not 1 <= dup <= caps[i]
+                ]
+                proposals = []
+                for _ in range(round_size):
+                    proposal = state
+                    for _ in range(16):
+                        move = getrandbits(2)
+                        while move >= 3:
+                            move = getrandbits(2)
+                        if move == 2:  # shift: shrink one, grow another
+                            src = getrandbits(bits)
+                            while src >= n_layers:
+                                src = getrandbits(bits)
+                            dst = getrandbits(bits)
+                            while dst >= n_layers:
+                                dst = getrandbits(bits)
+                            if src == dst:
+                                continue
+                            if (
+                                1 <= state[src] - 1 <= caps[src]
+                                and 1 <= state[dst] + 1 <= caps[dst]
+                                and sizes[dst] - sizes[src] <= slack
+                                and (not out_of_bounds
+                                     or all(i in (src, dst)
+                                            for i in out_of_bounds))
+                            ):
+                                moved = list(state)
+                                moved[src] -= 1
+                                moved[dst] += 1
+                                proposal = tuple(moved)
+                                break
+                        else:  # grow (move 0) or shrink (move 1)
+                            index = getrandbits(bits)
+                            while index >= n_layers:
+                                index = getrandbits(bits)
+                            step = 1 if move == 0 else -1
+                            dup = state[index] + step
+                            if (
+                                1 <= dup <= caps[index]
+                                and step * sizes[index] <= slack
+                                and (not out_of_bounds
+                                     or all(i == index
+                                            for i in out_of_bounds))
+                            ):
+                                moved = list(state)
+                                moved[index] = dup
+                                proposal = tuple(moved)
+                                break
+                    proposals.append(proposal)
+                for candidate in proposals:
+                    candidate_energy = memo.get(candidate)
+                    if candidate_energy is None:
+                        candidate_energy = eq4((candidate,))[0]
+                        memo[candidate] = candidate_energy
+                    delta = candidate_energy - current_energy
+                    if delta <= 0 or uniform() < exp(-delta / temperature):
+                        current = candidate
+                        current_energy = candidate_energy
+                        # A state's energy never changes, so only an
+                        # unseen (or evicted) state updates the archive.
+                        if current not in archive:
+                            archive[current] = current_energy
+                            # Keep the archive bounded: drop the worst
+                            # states once it is far larger than needed.
+                            if len(archive) > archive_cap:
+                                archive = dict(sorted(
+                                    archive.items(), key=itemgetter(1),
+                                )[: 2 * top_k])
+        ranked = sorted(archive.items(), key=itemgetter(1))
+        return [state for state, _energy in ranked[:top_k]]

@@ -8,10 +8,13 @@ anywhere along the walk.
 
 Neighbor proposals can be drawn and scored in *rounds*
 (``proposal_batch``), with the round's energies supplied by a single
-``batch_energy`` call — the hook the WtDup filter uses to score a
-round's Eq. 4 values in one call. A ``proposal_batch`` of 1 is exactly
-the classic chain; see the class docstring for the larger-round
-semantics.
+``batch_energy`` call when one is given. A ``proposal_batch`` of 1 is
+exactly the classic chain; see the class docstring for the larger-round
+semantics. Production stage 1 does not run this engine: the WtDup
+filter's fused walk (``WeightDuplicationFilter.top_candidates``)
+reproduces it step for step, and the engine driving the filter's
+``energy``/``batch_energy``/``neighbor`` is the oracle that walk is
+tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ from repro.errors import ConfigurationError
 State = TypeVar("State")
 
 
+def _is_real(value: object) -> bool:
+    """An int or float (not a bool): a knob arriving as JSON may be
+    any type, and comparing a string raises a bare ``TypeError``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
     """Geometric cooling schedule.
@@ -49,16 +58,36 @@ class AnnealingSchedule:
     steps_per_temp: int = 20
 
     def __post_init__(self) -> None:
-        if self.initial_temperature <= 0 or self.min_temperature <= 0:
-            raise ConfigurationError("temperatures must be positive")
+        # A NaN temperature gives an empty ladder and an infinite one a
+        # ladder that never ends, so both must be finite.
+        for temperature in (self.initial_temperature, self.min_temperature):
+            if not _is_real(temperature) or not (
+                math.isfinite(temperature) and temperature > 0
+            ):
+                raise ConfigurationError(
+                    f"temperatures must be positive and finite, got "
+                    f"{temperature!r}"
+                )
         if self.min_temperature > self.initial_temperature:
             raise ConfigurationError(
                 "min_temperature must not exceed initial_temperature"
             )
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ConfigurationError("cooling_rate must lie in (0, 1)")
-        if self.steps_per_temp < 1:
-            raise ConfigurationError("steps_per_temp must be >= 1")
+        if not _is_real(self.cooling_rate) or not (
+            0.0 < self.cooling_rate < 1.0
+        ):
+            raise ConfigurationError(
+                f"cooling_rate must lie in (0, 1), got "
+                f"{self.cooling_rate!r}"
+            )
+        if (
+            not isinstance(self.steps_per_temp, int)
+            or isinstance(self.steps_per_temp, bool)
+            or self.steps_per_temp < 1
+        ):
+            raise ConfigurationError(
+                f"steps_per_temp must be an integer >= 1, got "
+                f"{self.steps_per_temp!r}"
+            )
 
     def temperatures(self) -> List[float]:
         """The full cooling ladder."""

@@ -50,5 +50,15 @@ def tiny_model() -> CNNModel:
 
 
 @pytest.fixture()
+def one_layer_model() -> CNNModel:
+    """One weighted layer: every SA shift move draws ``src == dst``."""
+    layers = [
+        ConvLayer(name="c1", inputs=("input",), kernel=3,
+                  in_channels=1, out_channels=4, stride=1, padding=1),
+    ]
+    return CNNModel(name="one", layers=layers, input_shape=(1, 8, 8))
+
+
+@pytest.fixture()
 def fast_config() -> SynthesisConfig:
     return SynthesisConfig.fast(total_power=2.0, seed=7)

@@ -10,8 +10,6 @@ from repro.core.config import SynthesisConfig
 from repro.core.weight_duplication import WeightDuplicationFilter
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.nn import zoo
-from repro.nn.layers import ConvLayer
-from repro.nn.model import CNNModel
 from repro.utils.mathutils import stdev
 
 
@@ -177,15 +175,6 @@ def _rescan_neighbor(filt, state, rng):
     return state
 
 
-def _one_layer_model():
-    """One weighted layer: every shift move draws ``src == dst``."""
-    layers = [
-        ConvLayer(name="c1", inputs=("input",), kernel=3,
-                  in_channels=1, out_channels=4, stride=1, padding=1),
-    ]
-    return CNNModel(name="one", layers=layers, input_shape=(1, 8, 8))
-
-
 class TestNeighborDifferential:
     """The O(1) slack test against the rescan loop it replaced: same
     state out, same RNG state after, for feasible and infeasible
@@ -196,9 +185,10 @@ class TestNeighborDifferential:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_matches_rescan_loop(self, tiny_model, lenet, data):
+    def test_matches_rescan_loop(self, tiny_model, lenet, one_layer_model,
+                                 data):
         model = data.draw(st.sampled_from(
-            [tiny_model, lenet, _one_layer_model()]
+            [tiny_model, lenet, one_layer_model]
         ), label="model")
         xb_size, res_rram = data.draw(
             st.sampled_from([(128, 2), (64, 1), (256, 4)]),

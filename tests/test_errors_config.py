@@ -67,6 +67,39 @@ class TestSynthesisConfigValidation:
         with pytest.raises(ConfigurationError):
             SynthesisConfig(num_wtdup_candidates=0)
 
+    @pytest.mark.parametrize("knobs", [
+        # NaN alpha: every Metropolis test fails, so each walk would
+        # keep only its initial state.
+        {"sa_alpha": float("nan")},
+        {"sa_alpha": float("inf")},
+        {"sa_alpha": -0.5},
+        {"sa_alpha": "0.5"},
+        # A float count escaped as a raw TypeError from a slice.
+        {"num_wtdup_candidates": 2.5},
+        {"num_wtdup_candidates": True},
+        # The schedule used to reject these only inside the first walk.
+        {"sa_cooling_rate": 1.5},
+        {"sa_cooling_rate": float("nan")},
+        {"sa_steps_per_temp": 0},
+        {"sa_steps_per_temp": 2.5},
+        {"sa_min_temperature": 0},
+        {"sa_min_temperature": float("nan")},
+        # An infinite temperature ladder never ends.
+        {"sa_initial_temperature": float("inf")},
+        {"sa_initial_temperature": "1"},
+    ], ids=repr)
+    def test_bad_sa_knobs_rejected_at_construction(self, knobs):
+        with pytest.raises(ConfigurationError):
+            SynthesisConfig(**knobs)
+
+    def test_sa_schedule_built_from_knobs(self):
+        schedule = SynthesisConfig(
+            sa_initial_temperature=2.0, sa_min_temperature=0.5,
+            sa_cooling_rate=0.5, sa_steps_per_temp=3,
+        ).annealing_schedule()
+        assert schedule.temperatures() == [2.0, 1.0, 0.5]
+        assert schedule.steps_per_temp == 3
+
     def test_negative_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             SynthesisConfig(jobs=-1)

@@ -531,6 +531,21 @@ class TestApi:
             "lenet5"
         )
 
+    @pytest.mark.parametrize("override", [
+        {"sa_cooling_rate": 1.5},
+        {"sa_alpha": float("nan")},
+        {"num_wtdup_candidates": 2.5},
+    ], ids=repr)
+    def test_bad_sa_override_is_400_and_queues_nothing(self, service,
+                                                       override):
+        server, scheduler, _store = service
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, {"model": "lenet5", "power": 2.0,
+                           "overrides": override})
+        assert err.value.code == 400
+        assert scheduler.jobs() == []
+        assert scheduler.stats()["queued"] == 0
+
     def test_stats_models_health(self, service):
         server, _scheduler, _store = service
         status, health = _get(server, "/healthz")
